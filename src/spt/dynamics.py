@@ -1,9 +1,10 @@
 """Deterministic open-system propagation.
 
-Lindblad master equation with adaptive integration, steady states by
-null-space solve of the Liouvillian, exact time-integrated observables by
-resolvent solve, steady-state reflection under weak coherent drive, and the
-single-photon-input matrix-element hierarchy (gain and bandwidth).
+Lindblad master equation with adaptive integration; steady states and exact
+time-integrated observables by one factorized trace-fixed solver of the
+Liouvillian (one LU, many solves); steady-state reflection under weak
+coherent drive; the single-photon-input matrix-element hierarchy; and the
+gain and bandwidth, the gain as one resolvent solve with no time integration.
 
 Vectorization is row-major: vec(A rho B) = (A kron B^T) vec(rho).
 """
@@ -122,23 +123,60 @@ def liouvillian(h: np.ndarray, collapses: CollapseSet) -> sparse.csr_matrix:
     return lv.tocsr()
 
 
+class TraceFixedSolver:
+    """One sparse LU of the trace-fixed Liouvillian, shared by many solves.
+
+    The first row of L is replaced by the trace functional, which makes the
+    matrix regular when zero is a simple eigenvalue of L (unique steady
+    state).  The factorization is made once; every solve reuses it.
+    """
+
+    def __init__(self, lv: sparse.csr_matrix, dim: int):
+        a = lv.tolil(copy=True)
+        trace_row = np.zeros(dim * dim)
+        trace_row[:: dim + 1] = 1.0
+        a[0, :] = trace_row
+        try:
+            self._lu = spla.splu(a.tocsc())
+        except RuntimeError as exc:  # singular factorization
+            raise SteadyStateError(f"trace-fixed factorization failed: {exc}") from exc
+        self.lv = lv
+        self.dim = dim
+
+    def steady_state(self) -> np.ndarray:
+        """Trace-one null vector of L, symmetrized; residual at most 1e-8."""
+        b = np.zeros(self.dim * self.dim, dtype=complex)
+        b[0] = 1.0
+        x = self._lu.solve(b)
+        resid = np.linalg.norm(self.lv @ x)
+        if not np.isfinite(resid) or resid > 1e-8:
+            raise SteadyStateError(f"steady-state residual {resid:.3g} too large")
+        rho = x.reshape(self.dim, self.dim)
+        return 0.5 * (rho + rho.conj().T)
+
+    def resolvent(self, rhs: np.ndarray) -> np.ndarray:
+        """Vectorized X with L X = rhs and tr X = 0; relative residual at most 1e-7.
+
+        rhs must be traceless (it lies in the range of L).
+        """
+        rhs = np.asarray(rhs).reshape(-1)
+        b = rhs.astype(complex)
+        b[0] = 0.0
+        x = self._lu.solve(b)
+        resid = np.linalg.norm(self.lv @ x - rhs)
+        scale = max(np.linalg.norm(b), 1.0)
+        if not np.isfinite(resid) or resid / scale > 1e-7:
+            raise SteadyStateError(f"resolvent residual {resid / scale:.3g} too large")
+        return x
+
+
+def _expectation(observable: np.ndarray, x: np.ndarray) -> float:
+    return float(np.real(np.vdot(observable.conj().reshape(-1), x)))
+
+
 def steady_state(lv: sparse.csr_matrix, dim: int) -> np.ndarray:
     """Trace-one null vector of the Liouvillian via a direct sparse solve."""
-    a = lv.tolil(copy=True)
-    trace_row = np.zeros(dim * dim)
-    trace_row[:: dim + 1] = 1.0
-    a[0, :] = trace_row
-    b = np.zeros(dim * dim, dtype=complex)
-    b[0] = 1.0
-    try:
-        x = spla.spsolve(a.tocsc(), b)
-    except Exception as exc:  # singular factorization
-        raise SteadyStateError(f"steady-state solve failed: {exc}") from exc
-    resid = np.linalg.norm(lv @ x)
-    if not np.isfinite(resid) or resid > 1e-8:
-        raise SteadyStateError(f"steady-state residual {resid:.3g} too large")
-    rho = x.reshape(dim, dim)
-    return 0.5 * (rho + rho.conj().T)
+    return TraceFixedSolver(lv, dim).steady_state()
 
 
 def integrated_observable(
@@ -152,19 +190,8 @@ def integrated_observable(
     Solves L X = rho_inf - rho0 with tr X = 0; requires zero to be a simple
     eigenvalue of L (unique steady state).
     """
-    dim = rho0.shape[0]
-    a = lv.tolil(copy=True)
-    trace_row = np.zeros(dim * dim)
-    trace_row[:: dim + 1] = 1.0
-    b = (rho_inf - rho0).reshape(-1).astype(complex)
-    a[0, :] = trace_row
-    b[0] = 0.0
-    x = spla.spsolve(a.tocsc(), b)
-    resid = np.linalg.norm(lv @ x - (rho_inf - rho0).reshape(-1))
-    scale = max(np.linalg.norm(b), 1.0)
-    if not np.isfinite(resid) or resid / scale > 1e-7:
-        raise SteadyStateError(f"resolvent residual {resid / scale:.3g} too large")
-    return float(np.real(np.vdot(observable.conj().reshape(-1), x)))
+    x = TraceFixedSolver(lv, rho0.shape[0]).resolvent(rho_inf - rho0)
+    return _expectation(observable, x)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +505,6 @@ def single_photon_response(
 class GainResult:
     gain: float
     bandwidth: float             # impedance-matched kappa1 = Gamma_set
-    gain_ode: float              # portion collected on the time grid
-    duration: float
     truncation: int
 
 
@@ -488,64 +513,29 @@ def gain_and_bandwidth(
     decoherence: DecoherenceParams | None = None,
     n2_trunc: int = 10,
     n1_trunc: int = 1,
-    tol: float = 1e-8,
-    chunk: float = 400.0,
-    max_time: float = 40000.0,
-    rel_tail: float = 2e-3,
 ) -> GainResult:
     """Gain and detection bandwidth of the transistor.
 
     Bandwidth is the impedance-matched input coupling kappa1 = Gamma_set
     (numeric inversion at the same cavity-2 truncation).  Gain is
-    N_out2 = integral kappa2 <n2> dt for the master equation started in
-    |e,0,0> with the kappa1 recovery channel open; the integration proceeds in
-    chunks until the increment is below rel_tail of the total, then the exact
-    remainder is added by a resolvent solve.
+    N_out2 = integral_0^inf kappa2 <n2> dt for the master equation started in
+    |e,0,0> with the kappa1 recovery channel open.  It is exact, with no time
+    integration: one trace-fixed LU of the Liouvillian gives the steady state
+    rho_inf and the resolvent X with L X = rho_inf - rho0, and
+    N_out2 = kappa2 tr[n2 X] (the steady state holds no cavity-2 photon).
     """
     gamma_set = setting_rate(params, n2_trunc=n2_trunc).value
     p = params.replace(kappa1=gamma_set)
     space = build_space(HilbertSpec(n1_trunc, n2_trunc))
     h = hamiltonian_ideal(p, space)
     cols = collapse_set(p, decoherence, space)
-    lv = liouvillian(h, cols)
+    solver = TraceFixedSolver(liouvillian(h, cols), space.dim)
     a2 = space.annihilation("cavity2")
-    n2op = a2.conj().T @ a2
-
-    # cumulative output photon number integrated inside the ODE (no quadrature error)
-    n2vec = n2op.T.reshape(-1)
-    nf = space.dim * space.dim
-
-    def rhs(_t, y):
-        dy = np.empty_like(y)
-        dy[:nf] = lv @ y[:nf]
-        dy[nf] = params.kappa2 * np.real(n2vec @ y[:nf])
-        return dy
-
     psi0 = space.basis_state("e", 0, 0)
-    rho = np.outer(psi0, psi0.conj())
-    gain_ode = 0.0
-    t = 0.0
-    while t < max_time:
-        y0 = np.concatenate([rho.reshape(-1), [0.0]])
-        sol = solve_ivp(rhs, (0.0, chunk), y0, method="DOP853",
-                        rtol=tol, atol=tol * 1e-4)
-        if not sol.success:
-            raise RuntimeError(f"gain integration failed: {sol.message}")
-        rho = sol.y[:nf, -1].reshape(space.dim, space.dim)
-        rho = 0.5 * (rho + rho.conj().T)
-        inc = float(np.real(sol.y[nf, -1]))
-        gain_ode += inc
-        t += chunk
-        if inc < rel_tail * max(gain_ode, 1e-12):
-            break
-
-    rho_inf = steady_state(lv, space.dim)
-    tail = params.kappa2 * integrated_observable(lv, rho, rho_inf, n2op)
+    x = solver.resolvent(solver.steady_state() - np.outer(psi0, psi0.conj()))
     return GainResult(
-        gain=gain_ode + tail,
+        gain=params.kappa2 * _expectation(a2.conj().T @ a2, x),
         bandwidth=gamma_set,
-        gain_ode=gain_ode,
-        duration=t,
         truncation=n2_trunc,
     )
 
@@ -556,16 +546,5 @@ def gain_resolvent(
     n2_trunc: int = 10,
     n1_trunc: int = 1,
 ) -> float:
-    """Independent gain oracle: exact integral kappa2 <n2> dt by one resolvent solve."""
-    gamma_set = setting_rate(params, n2_trunc=n2_trunc).value
-    p = params.replace(kappa1=gamma_set)
-    space = build_space(HilbertSpec(n1_trunc, n2_trunc))
-    h = hamiltonian_ideal(p, space)
-    cols = collapse_set(p, decoherence, space)
-    lv = liouvillian(h, cols)
-    a2 = space.annihilation("cavity2")
-    n2op = a2.conj().T @ a2
-    psi0 = space.basis_state("e", 0, 0)
-    rho0 = np.outer(psi0, psi0.conj())
-    rho_inf = steady_state(lv, space.dim)
-    return params.kappa2 * integrated_observable(lv, rho0, rho_inf, n2op)
+    """The gain alone: ``gain_and_bandwidth(...).gain``."""
+    return gain_and_bandwidth(params, decoherence, n2_trunc, n1_trunc).gain

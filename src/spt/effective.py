@@ -39,6 +39,7 @@ class RateResult:
     value: float
     method: str
     truncation: int
+    convergence_delta: float = math.nan   # value minus the value at truncation - 1
 
     def __post_init__(self):
         if self.value < 0:
@@ -137,12 +138,9 @@ def setting_rate(params: SystemParams, n2_trunc: int = 10) -> RateResult:
         return jump.rate()
 
     value = rate_at(n2_trunc)
-    result = RateResult(value=value, method="numeric_inversion", truncation=n2_trunc)
-    if n2_trunc >= 2:
-        result.convergence_delta = value - rate_at(n2_trunc - 1)
-    else:
-        result.convergence_delta = math.nan
-    return result
+    delta = value - rate_at(n2_trunc - 1) if n2_trunc >= 2 else math.nan
+    return RateResult(value=value, method="numeric_inversion", truncation=n2_trunc,
+                      convergence_delta=delta)
 
 
 def setting_rate_analytic(params: SystemParams, order: int) -> RateResult:

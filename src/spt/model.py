@@ -129,7 +129,8 @@ def hamiltonian_ideal(params: SystemParams, space: HilbertSpace) -> np.ndarray:
         + params.g2 * (a2.conj().T @ s_ef + s_ef.conj().T @ a2)
         + 0.5 * params.omega * (s_ef + s_ef.conj().T)
     )
-    assert is_hermitian(h)
+    if not is_hermitian(h):
+        raise ValueError("hamiltonian_ideal: H is not Hermitian")
     return h
 
 
@@ -171,7 +172,8 @@ def hamiltonian_finite_A(
         + (params.g2 / r) * (a2.conj().T @ s_ge + s_ge.conj().T @ a2)
         + (0.5 * params.omega / r) * (s_ge + s_ge.conj().T)
     )
-    assert is_hermitian(h)
+    if not is_hermitian(h):
+        raise ValueError("hamiltonian_finite_A: H is not Hermitian")
     return h
 
 

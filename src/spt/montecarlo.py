@@ -20,6 +20,7 @@ so ensembles are reproducible for any worker count.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -311,16 +312,25 @@ def run_ensemble(
     t_start: float = 0.0,
 ) -> list:
     """Independent trajectories indexed 0..n_traj-1; order-stable aggregation."""
+    return _map_ensemble(_ensemble_one, n_traj, threads,
+                         (h_nh, collapses, duration, pulse, space, base_seed, init, t_start))
+
+
+def _map_ensemble(fn, n_traj: int, threads: int | None, init_args: tuple) -> list:
+    """[fn(0), ..., fn(n_traj - 1)] over the worker state set by _ensemble_init.
+
+    Runs in the calling process, or over a fork pool of ``threads`` workers
+    (default: the CPU count, at most 8); results come back in index order.
+    """
     threads = threads if threads is not None else min(os.cpu_count() or 1, 8)
-    args = (h_nh, collapses, duration, pulse, space, base_seed, init, t_start)
     if threads <= 1 or n_traj < 8:
-        _ensemble_init(*args)
-        return [_ensemble_one(i) for i in range(n_traj)]
+        _ensemble_init(*init_args)
+        return [fn(i) for i in range(n_traj)]
     import multiprocessing as mp
 
     with mp.get_context("fork").Pool(threads, initializer=_ensemble_init,
-                                     initargs=args) as pool:
-        return pool.map(_ensemble_one, range(n_traj), chunksize=max(1, n_traj // (4 * threads)))
+                                     initargs=init_args) as pool:
+        return pool.map(fn, range(n_traj), chunksize=max(1, n_traj // (4 * threads)))
 
 
 # ---------------------------------------------------------------------------
@@ -463,19 +473,17 @@ def dark_count_trajectories(
     h = hamiltonian_finite_A(p, space)
     cols = collapse_set(p, None, space, split=True)
     h_nh = nonhermitian(h, cols)
-    prop = EigenPropagator(h_nh)
 
     # burst segmentation needs post-jump states: rerun each trajectory and
-    # walk its jumps with the deterministic propagator
+    # walk its jumps with the deterministic propagator; sums in index order
+    replays = _map_ensemble(
+        functools.partial(_replay_with_states, close_threshold=burst_close_threshold),
+        n_traj, threads, (h_nh, cols, duration, None, space, base_seed, "g,0,0", 0.0))
     singles = 0
     bursts = 0
     dwell = 0.0
     total_time = n_traj * duration
-
-    _ensemble_init(h_nh, cols, duration, None, space, base_seed, "g,0,0", 0.0)
-    _WORKER["prop"] = prop
-    for i in range(n_traj):
-        tr = _replay_with_states(i, space, burst_close_threshold)
+    for tr in replays:
         singles += tr["singles"]
         bursts += tr["bursts"]
         dwell += tr["dwell"]
@@ -504,13 +512,12 @@ def dark_count_trajectories(
     )
 
 
-def _replay_with_states(index: int, space: HilbertSpace, close_threshold: float) -> dict:
+def _replay_with_states(index: int, close_threshold: float) -> dict:
     """Run one dark-count trajectory, tracking burst opening/closing."""
     w = _WORKER
     tr = _ensemble_one(index)
     # walk the jump record again to classify events; recompute post-jump states
-    h_nh, cols, prop = w["h_nh"], w["collapses"], w["prop"]
-    labels = cols.labels()
+    cols, prop, space = w["collapses"], w["prop"], w["space"]
     mats = {lab: m for lab, m in cols.jumps}
     psi = space.basis_state("g", 0, 0)
     t_prev = 0.0

@@ -14,9 +14,8 @@ trajectory sampler.
 
 import numpy as np
 import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
-from spt.dynamics import liouvillian, steady_state
+from spt.dynamics import TraceFixedSolver, liouvillian
 from spt.effective import setting_rate
 from spt.hilbert import HilbertSpec, build_space
 from spt.model import SystemParams, collapse_set, hamiltonian_ideal
@@ -40,21 +39,15 @@ def exact_count_moments(
     jump_super = sparse.kron(cs, cs.conj()).tocsr()
     psi0 = space.basis_state("e", 0, 0)
     rho0 = np.outer(psi0, psi0.conj()).reshape(-1)
-    rho_inf = steady_state(lv, dim).reshape(-1)
+    solver = TraceFixedSolver(lv, dim)
+    rho_inf = solver.steady_state().reshape(-1)
     trace_row = np.zeros(dim * dim)
     trace_row[:: dim + 1] = 1.0
 
-    def solve_trace_fixed(b):
-        a = lv.tolil(copy=True)
-        a[0, :] = trace_row
-        bb = b.astype(complex).copy()
-        bb[0] = 0.0
-        return spla.spsolve(a.tocsc(), bb)
-
-    x = solve_trace_fixed(rho_inf - rho0)
+    x = solver.resolvent(rho_inf - rho0)
     jx = jump_super @ x
     mean = float(np.real(trace_row @ jx))
-    y = solve_trace_fixed(mean * rho_inf - jx)
+    y = solver.resolvent(mean * rho_inf - jx)
     nn1 = 2.0 * float(np.real(trace_row @ (jump_super @ y)))
     variance = nn1 + mean - mean**2
     return mean, variance

@@ -174,5 +174,17 @@ class TestExperiments:
         assert "single_trajectory" in header
         assert len(lines) == 3
 
+    def test_dark_counts_threads_are_byte_identical(self, tmp_path):
+        base = ["dark-counts", "--g1", "0.2", "--omega", "2", "--kappa2", "0.1",
+                "--anharmonicity", "40", "--trajectories", "16", "--duration", "2000",
+                "--seed", "4"]
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        assert main(base + ["--threads", "1", "-o", str(one)]) == 0
+        assert main(base + ["--threads", "2", "-o", str(two)]) == 0
+        assert one.read_bytes() == two.read_bytes()
+        header, row = [ln.split(",") for ln in one.read_text().splitlines()
+                       if not ln.startswith("#")]
+        assert float(row[header.index("n_events_single")]) > 0
+
     def test_dark_counts_requires_finite_A(self):
         assert main(["dark-counts", "--g1", "0.2"]) == 2

@@ -1,7 +1,10 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from spt.effective import (SingularEliminationError, dark_asymptotic_enhanced,
+from spt.effective import (RateResult, SingularEliminationError, dark_asymptotic_enhanced,
                            dark_asymptotic_single, dark_rates_steady, effective_jump,
                            reflection_analytic, setting_rate, setting_rate_analytic)
 from spt.model import SystemParams
@@ -51,6 +54,12 @@ class TestSettingRate:
         r10 = setting_rate(P_REF, 10)
         assert abs(r10.convergence_delta) < 1e-6 * r10.value
         assert r10.value == pytest.approx(setting_rate_analytic(P_REF, 3).value, rel=0.02)
+
+    def test_convergence_delta_is_a_field(self):
+        assert "convergence_delta" in {f.name for f in dataclasses.fields(RateResult)}
+        assert math.isnan(RateResult(value=1.0, method="direct", truncation=3).convergence_delta)
+        assert math.isnan(setting_rate_analytic(P_REF, 2).convergence_delta)
+        assert math.isnan(setting_rate(P_REF, 1).convergence_delta)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

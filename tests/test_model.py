@@ -43,6 +43,16 @@ def test_ideal_rejects_finite_anharmonicity(space11):
         hamiltonian_ideal(p, space11)
 
 
+def test_non_hermitian_hamiltonian_raises(space11, monkeypatch):
+    import spt.model
+
+    monkeypatch.setattr(spt.model, "is_hermitian", lambda *_args, **_kw: False)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hamiltonian_ideal(SystemParams(), space11)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hamiltonian_finite_A(SystemParams(anharmonicity=40.0), space11)
+
+
 def test_finite_A_rejects_nonpositive():
     with pytest.raises(ValueError):
         SystemParams(anharmonicity=-1.0)
