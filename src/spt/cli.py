@@ -104,10 +104,29 @@ def _grid_in_g2(args, text: str, auto_center: float | None = None) -> np.ndarray
     return parse_grid(text, auto_center=auto_center) / _conv(args)
 
 
+def _anharmonicity(args) -> float:
+    """--anharmonicity as given, inf when absent; only dark-counts takes a finite value.
+
+    Every other experiment models the infinite-anharmonicity transistor (or, for
+    detection, no qutrit at all), so a finite value there is refused.
+    """
+    if args.anharmonicity in (None, "inf"):
+        return math.inf
+    try:
+        anh = float(args.anharmonicity)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad --anharmonicity {args.anharmonicity!r}") from exc
+    if math.isnan(anh):
+        raise ConfigError("--anharmonicity must not be nan")
+    if math.isfinite(anh) and args.experiment != "dark-counts":
+        raise ConfigError(f"{args.experiment} does not take a finite --anharmonicity "
+                          "(only dark-counts does)")
+    return anh
+
+
 def _sys_params(args) -> SystemParams:
     conv = _conv(args)
-    anh = math.inf if args.anharmonicity in (None, "inf") else to_g2_units(
-        float(args.anharmonicity), conv)
+    anh = to_g2_units(_anharmonicity(args), conv)
     try:
         return SystemParams(
             g1=to_g2_units(args.g1, conv),
@@ -324,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--g2-mhz", type=float, default=None,
                        help="g2 reference in MHz for --units mhz")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--output", "-o", default=None, help="file path or - for stdout")
 
     p = sub.add_parser("setting-rate", help="setting rate vs kappa2 (numeric + closed forms)")
@@ -357,6 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trajectories", help="Monte-Carlo counting statistics")
     common(p)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker processes for the trajectory ensemble")
     p.add_argument("--n-traj", type=int, default=300)
     p.add_argument("--duration", type=float, default=700.0)
     p.add_argument("--n1", type=int, default=2)
@@ -366,6 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dark-counts", help="dark-count rates vs anharmonicity")
     common(p)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker processes for the trajectory ensemble")
     p.add_argument("--a-grid", default=None)
     p.add_argument("--t-end", type=float, default=2000.0)
     p.add_argument("--trajectories", type=int, default=0,
@@ -413,6 +435,7 @@ def main(argv: list | None = None) -> int:
     ap = build_parser()
     try:
         args = _merge_config(ap, argv)
+        _anharmonicity(args)   # refuses a finite value outside dark-counts
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

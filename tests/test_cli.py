@@ -188,3 +188,27 @@ class TestExperiments:
 
     def test_dark_counts_requires_finite_A(self):
         assert main(["dark-counts", "--g1", "0.2"]) == 2
+
+    @pytest.mark.parametrize("experiment", ["setting-rate", "reflection", "gain",
+                                            "pulse-response", "trajectories", "detection"])
+    def test_finite_anharmonicity_outside_dark_counts_is_config_error(self, experiment, capsys):
+        assert main([experiment, "--anharmonicity", "40"]) == 2
+        assert "dark-counts" in capsys.readouterr().err
+
+    def test_infinite_anharmonicity_header_unchanged(self, tmp_path):
+        plain, explicit = tmp_path / "plain.csv", tmp_path / "inf.csv"
+        args = ["setting-rate", "--kappa2-grid", "1:1:1", "--n2", "4"]
+        assert main(args + ["-o", str(plain)]) == 0
+        assert main(args + ["--anharmonicity", "inf", "-o", str(explicit)]) == 0
+        assert "# anharmonicity=inf" in plain.read_text().splitlines()
+        assert explicit.read_bytes() == plain.read_bytes()
+
+    def test_threads_only_where_honoured(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gain", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"threads": 2}))
+        assert main(["--config", str(conf), "gain"]) == 2
+        assert "unknown config key 'threads'" in capsys.readouterr().err

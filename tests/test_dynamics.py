@@ -199,6 +199,75 @@ class TestSinglePhoton:
                                    spec=HilbertSpec(1, 1), tail=False)
 
 
+def _full_block_rhs(lv, space, kappa1, pulse):
+    """Oracle: the hierarchy right-hand side on the whole rho_10 block.
+
+    Full L rho_10 product and dense commutator [a1^dag, rho_01]; the library
+    evolves only the |g,0,0> column of rho_10 and must match this bit for bit.
+    """
+    dim = space.dim
+    nf = dim * dim
+    a1 = space.annihilation("cavity1")
+    rho00 = np.outer(space.basis_state("g", 0, 0), space.basis_state("g", 0, 0).conj())
+    k10 = -np.sqrt(kappa1) * (a1.conj().T @ rho00 - rho00 @ a1.conj().T)
+
+    def rhs(t, y):
+        r10 = y[:nf]
+        r11 = y[nf:]
+        xi = float(gaussian_pulse(pulse, t))
+        d10 = lv @ r10 + xi * k10.reshape(-1)
+        rho10 = r10.reshape(dim, dim)
+        rho01 = rho10.conj().T
+        s11 = a1.conj().T @ rho01 - rho01 @ a1.conj().T
+        s11 = -np.sqrt(kappa1) * xi * (s11 + s11.conj().T)
+        d11 = lv @ r11 + s11.reshape(-1)
+        return np.concatenate([d10, d11])
+
+    return rhs
+
+
+class TestHierarchyColumn:
+    @pytest.mark.parametrize("spec, dec", [
+        (HilbertSpec(1, 4), None),
+        (HilbertSpec(1, 4), DecoherenceParams(gamma_eg=0.01, gamma_fe=0.02,
+                                              gamma_p_ee=0.005, gamma_p_ff=0.01)),
+        (HilbertSpec(2, 3), None),
+    ])
+    def test_bitwise_equal_to_full_block_oracle(self, monkeypatch, spec, dec):
+        import spt.dynamics
+
+        p = SystemParams(g1=0.3, g2=1, omega=2, kappa1=0.18, kappa2=1)  # kappa1 ~ Gamma_set
+        tau = 6.0 / p.kappa1
+        pulse = PulseSpec.from_tau(tau=tau, center_time=4.5 * tau)
+        grid = np.linspace(0.0, 9.0 * tau, 60)
+        res = single_photon_response(p, pulse, grid, spec=spec, decoherence=dec, tol=1e-7)
+        monkeypatch.setattr(spt.dynamics, "_hierarchy_rhs", _full_block_rhs)
+        ref = single_photon_response(p, pulse, grid, spec=spec, decoherence=dec, tol=1e-7)
+        assert list(res.series.channels) == list(ref.series.channels)
+        for name, values in ref.series.channels.items():
+            assert np.array_equal(res.series.channels[name], values), name
+        assert res.gain == ref.gain
+        assert res.absorbed_fraction == ref.absorbed_fraction
+        assert res.n_out1 == ref.n_out1
+        assert np.array_equal(res.final_rho, ref.final_rho)
+        assert res.gain > 1.0 and res.absorbed_fraction > 0.9   # a non-trivial run
+
+    def test_pumped_ground_raises(self, monkeypatch):
+        import spt.dynamics
+
+        def pumped(params, decoherence, space, **kw):
+            cols = collapse_set(params, decoherence, space, **kw)
+            cols.jumps.append(("pump", 0.1 * space.qutrit_op("e", "g")))
+            return cols
+
+        monkeypatch.setattr(spt.dynamics, "collapse_set", pumped)
+        p = SystemParams(g1=0.3, g2=1, omega=2, kappa1=0.18, kappa2=1)
+        pulse = PulseSpec.from_tau(tau=30.0, center_time=135.0)
+        with pytest.raises(ValueError, match="dark"):
+            single_photon_response(p, pulse, np.linspace(0.0, 270.0, 11),
+                                   spec=HilbertSpec(1, 2))
+
+
 class TestGain:
     def test_gain_matches_time_integration(self):
         # independent route: kappa2 * trapezoid of <n2>(t) from the Lindblad
