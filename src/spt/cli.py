@@ -321,6 +321,17 @@ def run_detection(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# system flags and their defaults.  An experiment that does not read a flag
+# (all but dark-counts set kappa1 themselves: Gamma_set, or the swept grid;
+# detection has no qutrit) registers it with default None, so that giving it,
+# as a flag or a config entry, is refused
+_SYSTEM_FLAGS = {"g1": 0.05, "omega": 2.0, "kappa1": 0.0, "kappa2": 1.0, "gamma": 0.0,
+                 "gamma_phi": 0.0, "anharmonicity": None, "units": "g2", "g2_mhz": None}
+_UNREAD_FLAGS = {**dict.fromkeys(("setting-rate", "reflection", "gain", "pulse-response",
+                                  "trajectories"), ("kappa1",)),
+                 "detection": tuple(_SYSTEM_FLAGS)}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="spt",
@@ -329,81 +340,73 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="JSON config file; flags override its entries")
     sub = ap.add_subparsers(dest="experiment", required=True)
 
-    def common(p):
-        p.add_argument("--g1", type=float, default=0.05)
-        p.add_argument("--omega", type=float, default=2.0)
-        p.add_argument("--kappa1", type=float, default=0.0)
-        p.add_argument("--kappa2", type=float, default=1.0)
-        p.add_argument("--gamma", type=float, default=0.0,
-                       help="radiative gamma_eg (gamma_fe = 2 gamma)")
-        p.add_argument("--gamma-phi", type=float, default=0.0,
-                       help="pure dephasing gamma_p_ee (gamma_p_ff = 2 gamma_p)")
-        p.add_argument("--anharmonicity", default=None)
-        p.add_argument("--units", choices=("g2", "mhz"), default="g2")
-        p.add_argument("--g2-mhz", type=float, default=None,
-                       help="g2 reference in MHz for --units mhz")
+    def experiment(name, help_, func, threads=False):
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(func=func)
+        unread = _UNREAD_FLAGS.get(name, ())
+
+        def flag(dest, **kw):
+            p.add_argument("--" + dest.replace("_", "-"),
+                           default=None if dest in unread else _SYSTEM_FLAGS[dest], **kw)
+
+        for dest in ("g1", "omega", "kappa1", "kappa2"):
+            flag(dest, type=float)
+        flag("gamma", type=float, help="radiative gamma_eg (gamma_fe = 2 gamma)")
+        flag("gamma_phi", type=float, help="pure dephasing gamma_p_ee (gamma_p_ff = 2 gamma_p)")
+        flag("anharmonicity")
+        flag("units", choices=("g2", "mhz"))
+        flag("g2_mhz", type=float, help="g2 reference in MHz for --units mhz")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", "-o", default=None, help="file path or - for stdout")
+        if threads:
+            p.add_argument("--threads", type=int, default=None,
+                           help="worker processes for the trajectory ensemble")
+        return p
 
-    p = sub.add_parser("setting-rate", help="setting rate vs kappa2 (numeric + closed forms)")
-    common(p)
+    p = experiment("setting-rate", "setting rate vs kappa2 (numeric + closed forms)",
+                   run_setting_rate)
     p.add_argument("--kappa2-grid", default="0.5:4:50")
     p.add_argument("--n2", type=int, default=10)
-    p.set_defaults(func=run_setting_rate)
 
-    p = sub.add_parser("reflection", help="steady-state reflection vs kappa1")
-    common(p)
+    p = experiment("reflection", "steady-state reflection vs kappa1", run_reflection)
     p.add_argument("--kappa1-grid", default="log")
     p.add_argument("--n2", type=int, default=10)
     p.add_argument("--n2-reflection", type=int, default=8)
-    p.set_defaults(func=run_reflection)
 
-    p = sub.add_parser("gain", help="gain and bandwidth, optionally swept")
-    common(p)
+    p = experiment("gain", "gain and bandwidth, optionally swept", run_gain)
     p.add_argument("--sweep", nargs=2, metavar=("PARAM", "GRID"), default=None)
     p.add_argument("--n2", type=int, default=10)
-    p.set_defaults(func=run_gain)
 
-    p = sub.add_parser("pulse-response", help="single-photon pulse waveforms")
-    common(p)
+    p = experiment("pulse-response", "single-photon pulse waveforms", run_pulse_response)
     p.add_argument("--tau-kappa1", type=float, default=6.0,
                    help="pulse width in units of 1/kappa1")
     p.add_argument("--points", type=int, default=600)
     p.add_argument("--n2", type=int, default=10)
     p.add_argument("--tol", type=float, default=1e-7)
-    p.set_defaults(func=run_pulse_response)
 
-    p = sub.add_parser("trajectories", help="Monte-Carlo counting statistics")
-    common(p)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes for the trajectory ensemble")
+    p = experiment("trajectories", "Monte-Carlo counting statistics", run_trajectories,
+                   threads=True)
     p.add_argument("--n-traj", type=int, default=300)
     p.add_argument("--duration", type=float, default=700.0)
     p.add_argument("--n1", type=int, default=2)
     p.add_argument("--n2", type=int, default=16)
     p.add_argument("--jump-log", default=None, help="CSV path for per-jump records")
-    p.set_defaults(func=run_trajectories)
 
-    p = sub.add_parser("dark-counts", help="dark-count rates vs anharmonicity")
-    common(p)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes for the trajectory ensemble")
+    p = experiment("dark-counts", "dark-count rates vs anharmonicity", run_dark_counts,
+                   threads=True)
     p.add_argument("--a-grid", default=None)
     p.add_argument("--t-end", type=float, default=2000.0)
     p.add_argument("--trajectories", type=int, default=0,
                    help="trajectory count for the stochastic estimate (0 = skip)")
     p.add_argument("--duration", type=float, default=10000.0)
-    p.set_defaults(func=run_dark_counts)
 
-    p = sub.add_parser("detection", help="heterodyne threshold performance")
-    common(p)
+    p = experiment("detection", "heterodyne threshold performance", run_detection)
     p.add_argument("--gain-photons", type=float, default=200.0)
     p.add_argument("--modes", type=int, default=90)
     p.add_argument("--zeta", type=float, default=2.0)
     p.add_argument("--zeta-grid", default=None)
     p.add_argument("--sample", type=int, default=0,
                    help="also Monte-Carlo sample the vacuum observable")
-    p.set_defaults(func=run_detection)
 
     return ap
 
@@ -436,6 +439,10 @@ def main(argv: list | None = None) -> int:
     try:
         args = _merge_config(ap, argv)
         _anharmonicity(args)   # refuses a finite value outside dark-counts
+        for dest in _UNREAD_FLAGS.get(args.experiment, ()):
+            if getattr(args, dest) is not None:
+                raise ConfigError(f"{args.experiment} does not read --{dest.replace('_', '-')}")
+            setattr(args, dest, _SYSTEM_FLAGS[dest])
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -579,5 +579,6 @@ def gain_resolvent(
     n2_trunc: int = 10,
     n1_trunc: int = 1,
 ) -> float:
-    """The gain alone: ``gain_and_bandwidth(...).gain``."""
+    """The gain alone: ``gain_and_bandwidth(...).gain``; unused, kept while
+    perfbench/tracer.py wraps it by name."""
     return gain_and_bandwidth(params, decoherence, n2_trunc, n1_trunc).gain

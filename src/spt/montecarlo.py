@@ -1,9 +1,13 @@
 """Wave-function Monte-Carlo trajectories and counting statistics.
 
-Between jumps the state evolves under the non-Hermitian Hamiltonian; jump
-times are located by sampling a uniform threshold on the squared norm and
-bisecting the (exact) eigendecomposition propagator to 1e-10 relative time
-accuracy.  Jump channels are drawn with probabilities <psi|C_j^dag C_j|psi>.
+Between jumps the state evolves under the non-Hermitian Hamiltonian; a jump
+comes when the squared norm of the (exact) eigendecomposition propagator falls
+through a uniform threshold u.  Its time is the one a bisection to 1e-10
+relative width returns, bit for bit, found with a fifth of the norm
+evaluations: bracketed Newton on log ||psi||^2 - log u, one Gram-matrix
+product a step, then a bisection replay that evaluates the norm only inside a
+window around the root that a few evaluations certify (`_jump_time`).  Jump
+channels are drawn with probabilities <psi|C_j^dag C_j|psi>.
 
 Single-photon input follows the wavepacket-norm bookkeeping: the total norm is
 the internal amplitude norm plus the remaining input-tail integral.  The
@@ -24,6 +28,7 @@ import functools
 import math
 import os
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +40,11 @@ from .hilbert import HilbertSpec, HilbertSpace, build_space
 from .model import (CollapseSet, DecoherenceParams, SystemParams, collapse_set,
                     hamiltonian_finite_A, hamiltonian_ideal, nonhermitian)
 
-_TIME_REFINE = 1e-10     # relative jump-time bisection accuracy
+_TIME_REFINE = 1e-10     # relative bracket width at which the jump-time bisection stops
+_MARGIN_SAFETY = 2.0     # factor on the rounding and norm-growth bound of the margin
+_NEWTON_STEPS = 60       # Newton steps after which every midpoint is evaluated
+_NEWTON_TOL = 1e-6       # |log(norm / u)| below which a Newton step may be the root
+_WIDENINGS = 4           # window sizes tried, each 4 times the last
 _PULSE_TAIL_CUTOFF = 1e-12
 
 
@@ -55,11 +64,21 @@ class EigenPropagator:
         self.dim = h_nh.shape[0]
         self.evals, self.evecs = np.linalg.eig(h_nh)
         self.inv = np.linalg.inv(self.evecs)
-        resid = np.linalg.norm(
-            self.evecs @ (self.evals[:, None] * self.inv) - h_nh
-        )
+        self.gram = self.evecs.conj().T @ self.evecs
+        resid = self.evecs @ (self.evals[:, None] * self.inv) - h_nh
+        resid_norm = np.linalg.norm(resid)
         scale = max(np.linalg.norm(h_nh), 1.0)
-        self.ok = np.isfinite(resid) and resid / scale < 1e-9
+        self.ok = np.isfinite(resid_norm) and resid_norm / scale < 1e-9
+        # norm_sq at time s rounds by about 2 eps cond(V) (dim + 4 + |lambda| s),
+        # relative to the squared norm at 0, the |lambda| s from the phases; and
+        # it can rise over a span only by 2 span eta, eta the anti-Hermitian part
+        # of V Lambda V^-1 - H_NH, computed inverse included (H_NH's own part,
+        # -sum C^dag C / 2, lets it only fall)
+        rounding = 2 * np.finfo(float).eps * np.linalg.cond(self.evecs)
+        eta = (np.linalg.norm(resid - resid.conj().T, 2) / 2 + np.linalg.norm(h_nh, 2)
+               * np.linalg.norm(np.eye(self.dim) - self.evecs @ self.inv, 2))
+        self._margin = (_MARGIN_SAFETY * 2 * (self.dim + 4) * rounding,
+                        _MARGIN_SAFETY * 2 * (np.abs(self.evals).max() * rounding + eta))
 
     def coeffs(self, psi: np.ndarray) -> np.ndarray:
         return self.inv @ psi
@@ -71,6 +90,17 @@ class EigenPropagator:
         v = self.state(z0, dt)
         return float(np.real(np.vdot(v, v)))
 
+    def norm_and_slope(self, z0: np.ndarray, dt: float) -> tuple[float, float]:
+        """||psi(dt)||^2 and its time derivative, from one Gram-matrix product."""
+        w = np.exp(-1j * self.evals * dt) * z0
+        gw = self.gram @ w
+        return float(np.vdot(w, gw).real), 2.0 * float(np.vdot(gw, -1j * self.evals * w).real)
+
+    def margin(self, span: float) -> float:
+        """Twice the most by which norm_sq on [0, span], relative to the squared
+        norm at 0, can miss a function of time that never rises."""
+        return self._margin[0] + self._margin[1] * span
+
 
 @dataclass
 class Trajectory:
@@ -80,9 +110,67 @@ class Trajectory:
     seed: tuple
     final_norm_accounting: float     # total squared norm at the last event
     channel_counts: dict = field(default_factory=dict)
+    norm_evals: int = 0              # EigenPropagator.norm_sq calls
+    newton_steps: int = 0            # Gram-matrix steps of the jump-time root search
+    search_fallbacks: int = 0        # searches that evaluated every bisection midpoint
 
     def count(self, label_prefix: str) -> int:
         return sum(1 for _, lab in self.jumps if lab.startswith(label_prefix))
+
+
+def _jump_time(prop: EigenPropagator, z0: np.ndarray, span: float, u: float,
+               stats: Counter) -> float:
+    """Elapsed time of the jump, given norm_sq(span) < u.
+
+    Bit for bit the 0.5 (lo + hi) of a bisection of [0, span] on norm_sq(s) >= u,
+    but norm_sq is called only for midpoints inside a window [a, b] around the
+    root: norm_sq(a) >= u + m and norm_sq(b) < u - m with m = prop.margin(c), and
+    norm_sq(c) < u - prop.margin(span) at a far point c >= b.  The exact norm
+    never rises, so a midpoint outside the window decides as a call would.
+    """
+    def norm_sq(s):
+        stats["norm_evals"] += 1
+        return prop.norm_sq(z0, s)
+
+    # Newton on log norm - log u from s = 0, bisecting [lo, hi] when a step leaves it
+    lo, hi, s, n0, root = 0.0, span, 0.0, None, None
+    s_prev = dn_prev = math.nan
+    for _ in range(_NEWTON_STEPS):
+        stats["newton_steps"] += 1
+        n, dn = prop.norm_and_slope(z0, s)
+        n0 = n if n0 is None else n0          # margins are relative to the norm at 0
+        lo, hi = (s, hi) if n >= u else (lo, s)
+        log_ratio = math.log(n / u) if n > 0 else -math.inf
+        nxt = s - log_ratio * n / dn if dn < 0 else math.nan
+        # the step is the root once its second-order error, curvature from the last
+        # two slopes, is well inside the margin: a flat norm needs more steps
+        if (abs(log_ratio) <= _NEWTON_TOL and lo <= nxt <= hi and abs(dn - dn_prev) * (nxt - s)**2
+                <= n0 * prop.margin(s) / 4 * abs(s - s_prev)):
+            root = nxt
+            break
+        s_prev, dn_prev = s, dn
+        s = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+    a, b = -math.inf, math.inf
+    for widening in range(_WIDENINGS if root is not None else 0):
+        scale = 2.0 * 4.0**widening * n0 / -dn
+        far = scale * prop.margin(span)
+        m = n0 * prop.margin(root + far)
+        delta = scale * m / n0
+        if ((root - delta <= 0 or norm_sq(root - delta) >= u + m)
+                and (root + delta >= span or norm_sq(root + delta) < u - m)
+                and (root + far >= span or norm_sq(root + far) < u - n0 * prop.margin(span))):
+            a, b = root - delta, root + delta
+            break
+    else:
+        stats["search_fallbacks"] += 1
+    lo, hi = 0.0, span
+    while hi - lo > _TIME_REFINE * max(hi, 1e-6):
+        mid = 0.5 * (lo + hi)
+        if mid <= a or (mid < b and norm_sq(mid) >= u):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _parse_init(init, space: HilbertSpace):
@@ -105,12 +193,14 @@ def run_trajectory(
     space: HilbertSpace | None = None,
     propagator: EigenPropagator | None = None,
     t_start: float = 0.0,
+    on_jump=None,
 ) -> Trajectory:
     """One stochastic realization; deterministic given (operators, seed).
 
     ``init`` is a state vector, a basis label like "e,0,0", or
     "single-photon-input" (then ``pulse`` and ``space`` are required and the
-    wavepacket-norm bookkeeping applies).
+    wavepacket-norm bookkeeping applies).  ``on_jump(time, label, state)``, if
+    given, sees each jump with its normalized post-jump state.
     """
     if isinstance(seed, tuple):
         rng = trajectory_rng(*seed)
@@ -153,6 +243,7 @@ def run_trajectory(
         warnings.warn("ill-conditioned eigendecomposition: using ODE stepping", stacklevel=2)
 
     jumps: list = []
+    stats: Counter = Counter()
     t = t_start
     t_end = t_start + duration
 
@@ -162,26 +253,19 @@ def run_trajectory(
             n += q_ * q_ * pulse.remaining_norm(time_)
         return n
 
-    def channel_rates(vec, q_, time_):
-        rates = []
-        for k, c in enumerate(mats):
-            cv = c @ vec
-            if q_ > 0 and k == k1_idx:
-                cv = cv + q_ * float(gaussian_pulse(pulse, time_)) * g00
-            rates.append(float(np.real(np.vdot(cv, cv))))
-        return np.array(rates)
-
     def do_jump(vec, q_, time_):
-        rates = channel_rates(vec, q_, time_)
+        jumped = [c @ vec for c in mats]
+        if q_ > 0:
+            jumped[k1_idx] = jumped[k1_idx] + q_ * float(gaussian_pulse(pulse, time_)) * g00
+        rates = np.array([float(np.real(np.vdot(cv, cv))) for cv in jumped])
         tot = rates.sum()
         if tot <= 0:
             return None
         k = int(rng.choice(len(rates), p=rates / tot))
-        cv = mats[k] @ vec
-        if q_ > 0 and k == k1_idx:
-            cv = cv + q_ * float(gaussian_pulse(pulse, time_)) * g00
-        cv /= np.linalg.norm(cv)
+        cv = jumped[k] / np.linalg.norm(jumped[k])
         jumps.append((time_, labels[k]))
+        if on_jump is not None:
+            on_jump(time_, labels[k], cv)
         return cv
 
     while t < t_end:
@@ -225,19 +309,14 @@ def run_trajectory(
         if use_eigen:
             z0 = prop.coeffs(psi)
             remaining = t_end - t
+            stats["norm_evals"] += 1
             if prop.norm_sq(z0, remaining) >= u:
                 psi = prop.state(z0, remaining)
                 t = t_end
                 break
-            lo, hi = 0.0, remaining
-            while hi - lo > _TIME_REFINE * max(hi, 1e-6):
-                mid = 0.5 * (lo + hi)
-                if prop.norm_sq(z0, mid) >= u:
-                    lo = mid
-                else:
-                    hi = mid
-            t_jump = t + 0.5 * (lo + hi)
-            psi_pre = prop.state(z0, 0.5 * (lo + hi))
+            elapsed = _jump_time(prop, z0, remaining, u, stats)
+            t_jump = t + elapsed
+            psi_pre = prop.state(z0, elapsed)
         else:
             def event(tt, y):
                 return float(np.real(np.vdot(y, y))) - u
@@ -272,6 +351,7 @@ def run_trajectory(
         seed=seed_rec,
         final_norm_accounting=total_norm_sq(psi, q, t),
         channel_counts=counts,
+        **stats,
     )
 
 
@@ -290,12 +370,12 @@ def _ensemble_init(h_nh, collapses, duration, pulse, space, base_seed, init, t_s
     )
 
 
-def _ensemble_one(index: int) -> Trajectory:
+def _ensemble_one(index: int, on_jump=None) -> Trajectory:
     w = _WORKER
     return run_trajectory(
         w["h_nh"], w["collapses"], w["init"], w["duration"],
         (w["base_seed"], index), pulse=w["pulse"], space=w["space"],
-        propagator=w["prop"], t_start=w["t_start"],
+        propagator=w["prop"], t_start=w["t_start"], on_jump=on_jump,
     )
 
 
@@ -434,13 +514,18 @@ class DarkRateEstimate:
         return self.excited_dwell_time / self.total_time if self.total_time else math.nan
 
 
-def _ground_population(psi: np.ndarray, space: HilbertSpace) -> float:
-    pg = 0.0
-    for i in range(space.dim):
-        m, _, _ = space.labels(i)
-        if m == "g":
-            pg += abs(psi[i]) ** 2
-    return pg / float(np.real(np.vdot(psi, psi)))
+def _dark_model(params: SystemParams, spec: HilbertSpec):
+    """(space, collapses, H_NH) of the finite-anharmonicity model with split
+    cavity-2 jumps; kappa1 is the impedance-matched setting rate when unset."""
+    if not math.isfinite(params.anharmonicity):
+        raise ValueError("the dark-count model requires finite anharmonicity")
+    p = params
+    if p.kappa1 == 0:
+        p = p.replace(kappa1=setting_rate(params, n2_trunc=10).value)
+    space = build_space(spec)
+    h = hamiltonian_finite_A(p, space)
+    cols = collapse_set(p, None, space, split=True)
+    return space, cols, nonhermitian(h, cols)
 
 
 def dark_count_trajectories(
@@ -464,29 +549,20 @@ def dark_count_trajectories(
     kappa1 defaults to the impedance-matched setting rate when unset, so the
     trajectory shows the recovery jumps of the duty cycle.
     """
-    if not math.isfinite(params.anharmonicity):
-        raise ValueError("dark counts require finite anharmonicity")
-    p = params
-    if p.kappa1 == 0:
-        p = p.replace(kappa1=setting_rate(params, n2_trunc=10).value)
-    space = build_space(spec)
-    h = hamiltonian_finite_A(p, space)
-    cols = collapse_set(p, None, space, split=True)
-    h_nh = nonhermitian(h, cols)
-
-    # burst segmentation needs post-jump states: rerun each trajectory and
-    # walk its jumps with the deterministic propagator; sums in index order
-    replays = _map_ensemble(
-        functools.partial(_replay_with_states, close_threshold=burst_close_threshold),
+    space, cols, h_nh = _dark_model(params, spec)
+    # the basis lists every |g, n1, n2> first; sums run in index order
+    tallies = _map_ensemble(
+        functools.partial(_dark_one, n_ground=space.index("e", 0, 0),
+                          close_threshold=burst_close_threshold),
         n_traj, threads, (h_nh, cols, duration, None, space, base_seed, "g,0,0", 0.0))
     singles = 0
     bursts = 0
     dwell = 0.0
     total_time = n_traj * duration
-    for tr in replays:
-        singles += tr["singles"]
-        bursts += tr["bursts"]
-        dwell += tr["dwell"]
+    for s, b, d in tallies:
+        singles += s
+        bursts += b
+        dwell += d
 
     exposure = total_time - dwell
     if dwell > 0.2 * total_time:
@@ -512,40 +588,28 @@ def dark_count_trajectories(
     )
 
 
-def _replay_with_states(index: int, close_threshold: float) -> dict:
-    """Run one dark-count trajectory, tracking burst opening/closing."""
-    w = _WORKER
-    tr = _ensemble_one(index)
-    # walk the jump record again to classify events; recompute post-jump states
-    cols, prop, space = w["collapses"], w["prop"], w["space"]
-    mats = {lab: m for lab, m in cols.jumps}
-    psi = space.basis_state("g", 0, 0)
-    t_prev = 0.0
-    in_burst = False
-    burst_start = 0.0
+def _dark_one(index: int, n_ground: int, close_threshold: float) -> tuple:
+    """(singles, bursts, burst dwell) of one dark-count trajectory, classified
+    jump by jump from the post-jump states."""
     singles = bursts = 0
-    dwell = 0.0
-    for t_jump, lab in tr.jumps:
-        z0 = prop.coeffs(psi)
-        psi = prop.state(z0, t_jump - t_prev)
-        psi = mats[lab] @ psi
-        nrm = np.linalg.norm(psi)
-        if nrm == 0:
-            raise RuntimeError("replay produced a zero post-jump state")
-        psi /= nrm
-        t_prev = t_jump
-        if lab == "kappa2_E" and not in_burst:
+    dwell, burst_start = 0.0, None
+
+    def on_jump(t, label, psi):
+        nonlocal singles, bursts, dwell, burst_start
+        if label == "kappa2_E" and burst_start is None:
             bursts += 1
-            in_burst = True
-            burst_start = t_jump
-        elif in_burst and _ground_population(psi, space) > close_threshold:
-            dwell += t_jump - burst_start
-            in_burst = False
-        if lab == "kappa2_G" and not in_burst:
+            burst_start = t
+        elif burst_start is not None and (np.vdot(psi[:n_ground], psi[:n_ground]).real
+                                          / np.vdot(psi, psi).real > close_threshold):
+            dwell += t - burst_start
+            burst_start = None
+        if label == "kappa2_G" and burst_start is None:
             singles += 1
-    if in_burst:
+
+    tr = _ensemble_one(index, on_jump)
+    if burst_start is not None:
         dwell += tr.duration - burst_start
-    return {"singles": singles, "bursts": bursts, "dwell": dwell}
+    return singles, bursts, dwell
 
 
 # ---------------------------------------------------------------------------
@@ -576,15 +640,7 @@ def no_jump_rates(
     enhanced rate is the time-integrated ratio over the initial oscillation
     window, default 10 periods of 2 pi / sqrt(g2^2 + omega^2).
     """
-    if not math.isfinite(params.anharmonicity):
-        raise ValueError("no-jump analysis requires finite anharmonicity")
-    p = params
-    if p.kappa1 == 0:
-        p = p.replace(kappa1=setting_rate(params, n2_trunc=10).value)
-    space = build_space(spec)
-    h = hamiltonian_finite_A(p, space)
-    cols = collapse_set(p, None, space, split=True)
-    h_nh = nonhermitian(h, cols)
+    space, cols, h_nh = _dark_model(params, spec)
     c_g = cols.get("kappa2_G")
     c_e = cols.get("kappa2_E")
 

@@ -20,8 +20,8 @@ from scipy import stats as sps
 
 from spt.detection import DetectionParams, detection_performance, sample_observable
 from spt.dressed import dressed_basis
-from spt.dynamics import (PulseSpec, gain_and_bandwidth, gain_resolvent,
-                          single_photon_response, steady_state_reflection)
+from spt.dynamics import (PulseSpec, gain_and_bandwidth, single_photon_response,
+                          steady_state_reflection)
 from spt.effective import (dark_asymptotic_enhanced, dark_rates_steady,
                            reflection_analytic, setting_rate, setting_rate_analytic)
 from spt.hilbert import HilbertSpec, build_space
@@ -169,7 +169,7 @@ def test_criterion_4_single_photon_absorption():
     pulse = PulseSpec.from_tau(tau=tau, center_time=4.5 * tau)
     grid = np.linspace(0.0, 9.0 * tau, 1400)
     res = single_photon_response(p, pulse, grid, spec=HilbertSpec(1, 10), tol=1e-7)
-    gain_e00 = gain_resolvent(p0, n2_trunc=10)
+    gain_e00 = gain_and_bandwidth(p0, n2_trunc=10).gain
     ratio = res.gain / gain_e00
     ok = res.absorbed_fraction >= 0.99 and abs(ratio - 1.0) < 0.02
     report("4", ok,
@@ -250,8 +250,8 @@ def test_criterion_7_gain_and_bandwidth():
     p = SystemParams(g1=6.0 / G2_MHZ, g2=1, omega=240.0 / G2_MHZ, kappa2=1.0)
     res = gain_and_bandwidth(p, n2_trunc=10)
     bw_mhz = res.bandwidth * G2_MHZ
-    gain_with_gamma = gain_resolvent(
-        p, DecoherenceParams.from_gamma(GAMMA_PHYS), n2_trunc=10)
+    gain_with_gamma = gain_and_bandwidth(
+        p, DecoherenceParams.from_gamma(GAMMA_PHYS), n2_trunc=10).gain
     gain_ok = abs(res.gain - 172.0) <= 0.15 * 172.0
     bw_ok = abs(bw_mhz - 0.6) <= 0.15 * 0.6
     report("7a", gain_ok and bw_ok,
@@ -340,9 +340,9 @@ def test_criterion_8_nightly_trajectory_eta():
 
 def test_criterion_9_dephasing_robustness():
     p = SystemParams(g1=0.05, g2=1, omega=2, kappa2=1)
-    g0 = gain_resolvent(p, None, n2_trunc=10)
-    g_phi = gain_resolvent(p, DecoherenceParams.from_gamma_phi(1e-2), n2_trunc=10)
-    g_rad = gain_resolvent(p, DecoherenceParams.from_gamma(1e-2), n2_trunc=10)
+    g0 = gain_and_bandwidth(p, None, n2_trunc=10).gain
+    g_phi = gain_and_bandwidth(p, DecoherenceParams.from_gamma_phi(1e-2), n2_trunc=10).gain
+    g_rad = gain_and_bandwidth(p, DecoherenceParams.from_gamma(1e-2), n2_trunc=10).gain
     phi_dev = abs(g_phi - g0) / g0
     rad_red = (g0 - g_rad) / g0
     ok = phi_dev < 0.05 and rad_red > 0.10

@@ -203,6 +203,27 @@ class TestExperiments:
         assert "# anharmonicity=inf" in plain.read_text().splitlines()
         assert explicit.read_bytes() == plain.read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ["setting-rate", "--kappa1", "0.5"], ["reflection", "--kappa1", "0.5"],
+        ["gain", "--kappa1", "0.5"], ["pulse-response", "--kappa1", "0"],
+        ["trajectories", "--kappa1", "0.5"], ["detection", "--g1", "0.3"],
+        ["detection", "--kappa2", "1"], ["detection", "--units", "g2"],
+        ["detection", "--anharmonicity", "inf"]])
+    def test_unread_system_flag_is_config_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert f"{argv[0]} does not read {argv[1]}" in capsys.readouterr().err
+
+    def test_unread_flag_in_config_is_config_error(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"kappa1": 0.0}))
+        assert main(["--config", str(conf), "gain"]) == 2
+        assert "gain does not read --kappa1" in capsys.readouterr().err
+
+    def test_unread_kappa1_header_unchanged(self, tmp_path):
+        out = tmp_path / "sr.csv"
+        assert main(["setting-rate", "--kappa2-grid", "1:1:1", "--n2", "4", "-o", str(out)]) == 0
+        assert "# kappa1=0.0" in out.read_text().splitlines()
+
     def test_threads_only_where_honoured(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gain", "--threads", "2"])

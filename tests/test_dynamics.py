@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from spt.hilbert import HilbertSpec, build_space
 from spt.model import CollapseSet, DecoherenceParams, SystemParams, collapse_set, hamiltonian_ideal
-from spt.dynamics import (PulseSpec, TimeSeries, gain_and_bandwidth, gain_resolvent,
-                          gaussian_pulse, lindblad_propagate, liouvillian,
-                          single_photon_response, steady_state, steady_state_reflection)
+from spt.dynamics import (PulseSpec, TimeSeries, gain_and_bandwidth, gaussian_pulse,
+                          lindblad_propagate, liouvillian, single_photon_response,
+                          steady_state, steady_state_reflection)
 from spt.effective import reflection_analytic, setting_rate
 
 
@@ -313,8 +313,8 @@ class TestGain:
 
     def test_truncation_convergence(self):
         p = SystemParams(g1=0.05, g2=1, omega=2, kappa2=1)
-        g10 = gain_resolvent(p, n2_trunc=10)
-        g12 = gain_resolvent(p, n2_trunc=12)
+        g10 = gain_and_bandwidth(p, n2_trunc=10).gain
+        g12 = gain_and_bandwidth(p, n2_trunc=12).gain
         assert g12 == pytest.approx(g10, rel=1e-3)
 
     def test_bandwidth_scales_as_g1_squared(self):

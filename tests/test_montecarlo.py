@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import spt.montecarlo as mc
 from spt.hilbert import HilbertSpec, build_space
-from spt.model import (CollapseSet, SystemParams, collapse_set,
+from spt.model import (CollapseSet, SystemParams, collapse_set, hamiltonian_finite_A,
                        hamiltonian_ideal, nonhermitian)
-from spt.dynamics import PulseSpec
+from spt.dynamics import PulseSpec, gain_and_bandwidth
 from spt.effective import dark_rates_steady, setting_rate
 from spt.montecarlo import (EigenPropagator, counts_to_statistics, dark_count_trajectories,
                             gain_statistics, no_jump_rates, run_ensemble, run_trajectory,
@@ -79,6 +80,107 @@ class TestRunTrajectory:
         assert np.array_equal(a, c)
 
 
+def _plain_bisection(prop, z0, span, u, stats):
+    """The jump-time search as a bisection that evaluates every midpoint: the oracle."""
+    lo, hi = 0.0, span
+    while hi - lo > mc._TIME_REFINE * max(hi, 1e-6):
+        mid = 0.5 * (lo + hi)
+        stats["norm_evals"] += 1
+        if prop.norm_sq(z0, mid) >= u:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _ideal(spec, g1=0.25):
+    p0 = SystemParams(g1=g1, g2=1, omega=2, kappa2=1)
+    p = p0.replace(kappa1=setting_rate(p0, 10).value)
+    space = build_space(spec)
+    cols = collapse_set(p, None, space)
+    return space, cols, nonhermitian(hamiltonian_ideal(p, space), cols)
+
+
+def _finite_a(anharmonicity=40.0):
+    p0 = SystemParams(g1=0.2, g2=1, omega=2, kappa2=0.1, anharmonicity=anharmonicity)
+    p = p0.replace(kappa1=setting_rate(p0, 10).value)
+    space = build_space(HilbertSpec(1, 2))
+    cols = collapse_set(p, None, space, split=True)
+    return space, cols, nonhermitian(hamiltonian_finite_A(p, space), cols)
+
+
+def _custom_state():
+    space, cols, h_nh = _ideal(HilbertSpec(1, 6))
+    rng = np.random.default_rng(4)
+    psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    return space, cols, h_nh, psi / np.linalg.norm(psi)
+
+
+def _pulse_input():
+    space, cols, h_nh = _ideal(HilbertSpec(1, 10))
+    tau = 6.0 / setting_rate(SystemParams(g1=0.25, g2=1, omega=2, kappa2=1), 10).value
+    pulse = PulseSpec.from_tau(tau=tau, center_time=4.5 * tau)
+    return space, cols, h_nh, "single-photon-input", 9 * tau + 400.0, 8, pulse
+
+
+# name -> (space, collapses, H_NH, init, duration, trajectories, pulse)
+_SEARCH_CASES = {
+    "e00": lambda: (*_ideal(HilbertSpec(2, 16)), "e,0,0", 700.0, 12, None),
+    "custom": lambda: (*_custom_state(), 300.0, 12, None),
+    "pulse-input": _pulse_input,
+    "dark-finite-A": lambda: (*_finite_a(), "g,0,0", 10000.0, 8, None),
+}
+
+
+class TestJumpTimeSearch:
+    """The Newton-certified search returns the plain bisection's jump times bit for bit."""
+
+    @staticmethod
+    def _ensemble(case, seed):
+        space, cols, h_nh, init, duration, n_traj, pulse = case
+        return run_ensemble(h_nh, cols, init, duration, n_traj, seed, pulse=pulse,
+                            space=space, threads=1)
+
+    @pytest.mark.parametrize("name", sorted(_SEARCH_CASES))
+    def test_jumps_equal_plain_bisection(self, name, monkeypatch):
+        case = _SEARCH_CASES[name]()
+        for seed in (3, 17, 2024):
+            fast = self._ensemble(case, seed)
+            with monkeypatch.context() as m:
+                m.setattr(mc, "_jump_time", _plain_bisection)
+                oracle = self._ensemble(case, seed)
+            assert [t.jumps for t in fast] == [t.jumps for t in oracle]
+            n_jumps = sum(len(t.jumps) for t in fast)
+            assert n_jumps > 0
+            assert sum(t.search_fallbacks for t in fast) == 0
+            assert sum(t.newton_steps for t in fast) > 0
+            assert sum(t.norm_evals for t in fast) < 0.5 * sum(t.norm_evals for t in oracle)
+
+    @pytest.mark.parametrize("patch", ["no-newton", "huge-margin"])
+    def test_without_a_window_every_midpoint_is_evaluated(self, patch, monkeypatch):
+        case = _SEARCH_CASES["e00"]()
+        fast = self._ensemble(case, 5)
+        with monkeypatch.context() as m:
+            m.setattr(mc, "_jump_time", _plain_bisection)
+            oracle = self._ensemble(case, 5)
+        if patch == "no-newton":
+            monkeypatch.setattr(mc, "_NEWTON_STEPS", 0)
+        else:
+            monkeypatch.setattr(EigenPropagator, "margin", lambda self, span: 1e6)
+        forced = self._ensemble(case, 5)
+        assert [t.jumps for t in forced] == [t.jumps for t in oracle] == [
+            t.jumps for t in fast]
+        # every midpoint is evaluated, plus at most the certification calls
+        assert sum(t.norm_evals for t in forced) >= sum(t.norm_evals for t in oracle)
+        searches = sum(len(t.jumps) for t in forced)
+        assert sum(t.search_fallbacks for t in forced) == (searches if patch == "no-newton" else 0)
+
+    def test_trajectory_built_without_diagnostics(self):
+        tr = mc.Trajectory(jumps=[], initial_state_label="custom", duration=1.0, seed=(0, 0),
+                           final_norm_accounting=1.0)
+        assert (tr.norm_evals, tr.newton_steps, tr.search_fallbacks) == (0, 0, 0)
+
+
 class TestCountStatistics:
     def test_mandel_forms(self):
         counts = np.array([10, 12, 8, 14, 6, 20, 2, 12])
@@ -100,13 +202,11 @@ class TestCountStatistics:
 
 class TestGainStatistics:
     def test_ensemble_mean_matches_master_equation(self):
-        from spt.dynamics import gain_resolvent
-
         p = SystemParams(g1=0.25, g2=1, omega=2, kappa2=1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             st_ = gain_statistics(p, 300, 700.0, 123, spec=HilbertSpec(2, 16), threads=1)
-            oracle = gain_resolvent(p, n2_trunc=16, n1_trunc=2)
+            oracle = gain_and_bandwidth(p, n2_trunc=16, n1_trunc=2).gain
         assert st_.mean == pytest.approx(oracle, abs=3 * st_.statistical_error)
         # super-Poissonian with 3 sigma confidence
         n = st_.n_traj
@@ -152,8 +252,7 @@ class TestGainStatistics:
             st_ = gain_statistics(p0, 120, 9.0 * tau + 400.0, 777,
                                   spec=HilbertSpec(1, 12), init="single-photon-input",
                                   pulse=pulse, threads=1)
-        from spt.dynamics import gain_resolvent
-        oracle = gain_resolvent(p0, n2_trunc=12)
+        oracle = gain_and_bandwidth(p0, n2_trunc=12).gain
         assert st_.mean == pytest.approx(oracle, abs=3.5 * st_.statistical_error)
         triggered = sum(freq for c, freq in st_.histogram.items() if c > 0)
         assert triggered >= 0.85 * st_.n_traj
@@ -172,6 +271,47 @@ class TestDarkCounts:
         inv = dark_rates_steady(p).single.value
         assert est.single_rate == pytest.approx(inv, rel=0.25)
         assert est.dwell_fraction < 0.2
+
+    def test_one_pass_tally_matches_replay(self):
+        # the former route: rerun each trajectory, then walk its jump record again
+        # with the propagator to recover the post-jump states
+        def replay(tr, prop, mats, space):
+            psi, t_prev, burst_start = space.basis_state("g", 0, 0), 0.0, None
+            singles = bursts = 0
+            dwell = 0.0
+            for t_jump, lab in tr.jumps:
+                psi = mats[lab] @ prop.state(prop.coeffs(psi), t_jump - t_prev)
+                psi /= np.linalg.norm(psi)
+                t_prev = t_jump
+                ground = sum(abs(psi[i]) ** 2 for i in range(space.dim)
+                             if space.labels(i)[0] == "g")
+                if lab == "kappa2_E" and burst_start is None:
+                    bursts += 1
+                    burst_start = t_jump
+                elif burst_start is not None and ground / np.vdot(psi, psi).real > 0.99:
+                    dwell += t_jump - burst_start
+                    burst_start = None
+                if lab == "kappa2_G" and burst_start is None:
+                    singles += 1
+            if burst_start is not None:
+                dwell += tr.duration - burst_start
+            return singles, bursts, dwell
+
+        # A/g2 = 10, so that bursts open and close
+        p = SystemParams(g1=0.2, g2=1, omega=2, kappa2=0.1, anharmonicity=10)
+        space, cols, h_nh = _finite_a(10.0)
+        prop, mats = EigenPropagator(h_nh), dict(cols.jumps)
+        for seed in (1, 2, 3):
+            est = dark_count_trajectories(p, 10, 5000.0, seed, threads=1)
+            trajs = run_ensemble(h_nh, cols, "g,0,0", 5000.0, 10, seed, space=space, threads=1)
+            singles = bursts = 0
+            dwell = 0.0
+            for tr in trajs:
+                s, b, d = replay(tr, prop, mats, space)
+                singles, bursts, dwell = singles + s, bursts + b, dwell + d
+            assert bursts > 0 and singles > 0
+            assert (est.n_events_single, est.n_events_enhanced, est.excited_dwell_time) == (
+                singles, bursts, dwell)
 
     def test_huge_A_reports_upper_bound(self):
         p = SystemParams(g1=0.2, g2=1, omega=2, kappa2=0.1, anharmonicity=1e6,
