@@ -331,6 +331,33 @@ _UNREAD_FLAGS = {**dict.fromkeys(("setting-rate", "reflection", "gain", "pulse-r
                                   "trajectories"), ("kappa1",)),
                  "detection": tuple(_SYSTEM_FLAGS)}
 
+# experiment options and what their values must satisfy, checked where taken
+_BOUNDS = {
+    "n1": (lambda v: v >= 0, "at least 0"),
+    "n2": (lambda v: v >= 1, "at least 1"),
+    "n2_reflection": (lambda v: v >= 1, "at least 1"),
+    "n_traj": (lambda v: v >= 1, "at least 1"),
+    "trajectories": (lambda v: v >= 0, "at least 0"),
+    "duration": (lambda v: 0 < v < math.inf, "finite and > 0"),
+    "t_end": (lambda v: 0 < v < math.inf, "finite and > 0"),
+    "points": (lambda v: v >= 2, "at least 2"),
+    "tau_kappa1": (lambda v: 0 < v < math.inf, "finite and > 0"),
+    "tol": (lambda v: 0 < v < 1, "in (0, 1)"),
+}
+
+
+def _check_bounds(args) -> None:
+    for dest, (ok, need) in _BOUNDS.items():
+        if not hasattr(args, dest):
+            continue
+        val = getattr(args, dest)
+        try:
+            good = ok(val)
+        except TypeError:
+            good = False
+        if not good:
+            raise ConfigError(f"--{dest.replace('_', '-')} must be {need}, got {val!r}")
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -439,6 +466,7 @@ def main(argv: list | None = None) -> int:
     try:
         args = _merge_config(ap, argv)
         _anharmonicity(args)   # refuses a finite value outside dark-counts
+        _check_bounds(args)
         for dest in _UNREAD_FLAGS.get(args.experiment, ()):
             if getattr(args, dest) is not None:
                 raise ConfigError(f"{args.experiment} does not read --{dest.replace('_', '-')}")

@@ -16,7 +16,11 @@ not-yet-arrived photon amplitude q*sqrt(w(t)) is carried in closed form
 system ground state, so any click resolves the photon's fate), the source term
 -sqrt(kappa1) xi(t) q feeds |g,1,0>, and the port-1 jump operator acquires the
 displacement q xi(t)|g,0,0> whose interference with sqrt(kappa1) a1 produces
-perfect absorption at impedance matching.
+perfect absorption at impedance matching.  Until that first click every
+trajectory follows the same no-jump state under the pulse source (Dalibard,
+Castin & Molmer, PRL 68, 580 (1992)), so an ensemble integrates it once
+(`PulsePath`) and each trajectory only finds where the norm falls through its
+own threshold, bit for bit as a solve_ivp event run of its own would.
 
 RNG streams are counter-based (Philox) keyed by (base_seed, trajectory index),
 so ensembles are reproducible for any worker count.
@@ -32,7 +36,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
+from scipy.optimize import brentq
 
 from .dynamics import PulseSpec, gaussian_pulse
 from .effective import setting_rate
@@ -46,6 +51,7 @@ _NEWTON_STEPS = 60       # Newton steps after which every midpoint is evaluated
 _NEWTON_TOL = 1e-6       # |log(norm / u)| below which a Newton step may be the root
 _WIDENINGS = 4           # window sizes tried, each 4 times the last
 _PULSE_TAIL_CUTOFF = 1e-12
+_EPS = np.finfo(float).eps
 
 
 def trajectory_rng(base_seed: int, index: int) -> np.random.Generator:
@@ -100,6 +106,93 @@ class EigenPropagator:
         """Twice the most by which norm_sq on [0, span], relative to the squared
         norm at 0, can miss a function of time that never rises."""
         return self._margin[0] + self._margin[1] * span
+
+
+def _photon_port(collapses: CollapseSet, space: HilbertSpace | None, pulse: PulseSpec | None):
+    """(sqrt(kappa1), index of |g,1,0>, |g,0,0>) for a single-photon input.
+
+    ValueError when there is no pulse or space, or the photon cannot couple in.
+    """
+    if pulse is None or space is None:
+        raise ValueError("single-photon-input requires pulse and space")
+    if "kappa1" not in collapses.labels():
+        raise ValueError("single-photon-input requires a kappa1 channel")
+    g10 = space.basis_state("g", 1, 0)
+    sqrt_k1 = float(np.linalg.norm(collapses.get("kappa1") @ g10))
+    if sqrt_k1 <= 0:
+        raise ValueError("kappa1 channel has zero amplitude; photon cannot couple in")
+    return sqrt_k1, int(np.argmax(np.abs(g10))), space.basis_state("g", 0, 0)
+
+
+class PulsePath:
+    """The no-jump state of a single-photon input up to its first click, shared.
+
+    Before the first jump every trajectory of an ensemble follows the same
+    unnormalized state, d psi = -i H_NH psi - sqrt(kappa1) xi(t)|g,1,0> from
+    psi = 0 at t_start; each draws only its own threshold u on the total norm
+    ||psi||^2 + remaining_norm(t).  DOP853 (rtol 1e-10, atol 1e-12) steps this
+    state once, lazily, only as far as the thresholds asked so far reach, and
+    keeps each step's end-point norm and dense output.  ``crossing(u)`` then
+    replays solve_ivp's terminal event (direction -1) on those steps: the first
+    step whose norm falls through u, and brentq to 4 eps on its interpolant.
+    The steps never depend on u or on the dense output, so every jump time and
+    pre-jump state is bit for bit that of a solve_ivp run per trajectory.
+
+    Set-up is deferred to the first query, so building one cannot fail (in a
+    pool initializer an exception would restart the workers without end);
+    ``run_trajectory`` checks the input first.
+    """
+
+    def __init__(self, h_nh: np.ndarray, collapses: CollapseSet, space: HilbertSpace,
+                 pulse: PulseSpec, t_start: float, t_end: float):
+        self.h_nh, self.collapses, self.space, self.pulse = h_nh, collapses, space, pulse
+        self.t_start, self.t_end = float(t_start), float(t_end)
+        self._solver = None
+        self._norms: list = []       # event base at t_start and at the end of each step
+        self._steps: list = []       # (t_old, t, dense output) of each step
+
+    def _norm(self, t, y) -> float:
+        # operand order of the per-trajectory event, q = 1 before the first click
+        return float(np.real(np.vdot(y, y))) + self.pulse.remaining_norm(t)
+
+    def _start(self) -> None:
+        h_nh, pulse = self.h_nh, self.pulse
+        sqrt_k1, i_g10, _ = _photon_port(self.collapses, self.space, pulse)
+
+        def rhs(tt, y):
+            dy = -1j * (h_nh @ y)
+            dy[i_g10] -= sqrt_k1 * float(gaussian_pulse(pulse, tt))
+            return dy
+
+        y0 = np.zeros(self.space.dim, dtype=complex)
+        self._solver = DOP853(rhs, self.t_start, y0, self.t_end, rtol=1e-10, atol=1e-12)
+        self._norms.append(self._norm(self.t_start, y0))
+
+    def _step(self) -> None:
+        solver = self._solver
+        message = solver.step()
+        if solver.status == "failed":
+            raise RuntimeError(f"trajectory integration failed: {message}")
+        self._steps.append((solver.t_old, solver.t, solver.dense_output()))
+        self._norms.append(self._norm(solver.t, solver.y))
+
+    def crossing(self, u: float):
+        """(time, state, True) where the norm first falls through u, the state
+        the pre-jump one; (t_end, final state, False) when it never does."""
+        if self._solver is None:
+            self._start()
+        k = 0
+        while True:
+            if k + 1 == len(self._norms):
+                if self._solver.status == "finished":
+                    return self.t_end, self._solver.y, False
+                self._step()
+            if self._norms[k] - u >= 0 and self._norms[k + 1] - u <= 0:
+                t_old, t_new, dense = self._steps[k]
+                root = brentq(lambda tt: self._norm(tt, dense(tt)) - u, t_old, t_new,
+                              xtol=4 * _EPS, rtol=4 * _EPS)
+                return root, dense(root), True
+            k += 1
 
 
 @dataclass
@@ -194,6 +287,7 @@ def run_trajectory(
     propagator: EigenPropagator | None = None,
     t_start: float = 0.0,
     on_jump=None,
+    pulse_path: PulsePath | None = None,
 ) -> Trajectory:
     """One stochastic realization; deterministic given (operators, seed).
 
@@ -201,6 +295,10 @@ def run_trajectory(
     "single-photon-input" (then ``pulse`` and ``space`` are required and the
     wavepacket-norm bookkeeping applies).  ``on_jump(time, label, state)``, if
     given, sees each jump with its normalized post-jump state.
+    ``pulse_path``, for a single-photon input, is the pre-click path shared by
+    the trajectories of one ensemble: it must be built from the same H_NH,
+    collapses, space and pulse over [t_start, t_start + duration].  One is
+    built when none is given.
     """
     if isinstance(seed, tuple):
         rng = trajectory_rng(*seed)
@@ -212,22 +310,17 @@ def run_trajectory(
     labels = collapses.labels()
     mats = collapses.matrices()
 
+    t = t_start
+    t_end = t_start + duration
     pulse_mode = isinstance(init, str) and init == "single-photon-input"
     if pulse_mode:
-        if pulse is None or space is None:
-            raise ValueError("single-photon-input requires pulse and space")
+        _, _, g00 = _photon_port(collapses, space, pulse)
+        if pulse_path is None:
+            pulse_path = PulsePath(h_nh, collapses, space, pulse, t, t_end)
+        elif (pulse_path.t_start, pulse_path.t_end) != (float(t), float(t_end)):
+            raise ValueError("pulse_path spans another time interval")
         psi = np.zeros(space.dim, dtype=complex)
         init_label = "single-photon-input"
-        if "kappa1" not in labels:
-            raise ValueError("single-photon-input requires a kappa1 channel")
-        c1 = collapses.get("kappa1")
-        g10 = space.basis_state("g", 1, 0)
-        g00 = space.basis_state("g", 0, 0)
-        sqrt_k1 = float(np.linalg.norm(c1 @ g10))
-        if sqrt_k1 <= 0:
-            raise ValueError("kappa1 channel has zero amplitude; photon cannot couple in")
-        i_g10 = int(np.argmax(np.abs(g10)))
-        i_g00 = int(np.argmax(np.abs(g00)))
         k1_idx = labels.index("kappa1")
         q = 1.0
     else:
@@ -244,8 +337,6 @@ def run_trajectory(
 
     jumps: list = []
     stats: Counter = Counter()
-    t = t_start
-    t_end = t_start + duration
 
     def total_norm_sq(vec, q_, time_):
         n = float(np.real(np.vdot(vec, vec)))
@@ -274,32 +365,16 @@ def run_trajectory(
             break
         u = rng.random() * start_norm
 
-        in_pulse = q > 0 and pulse.remaining_norm(t) > _PULSE_TAIL_CUTOFF
-        if in_pulse:
-            # time-dependent source: ODE with a terminal norm-threshold event
-            def rhs(tt, y):
-                dy = -1j * (h_nh @ y)
-                dy[i_g10] -= sqrt_k1 * q * float(gaussian_pulse(pulse, tt))
-                return dy
-
-            def event(tt, y):
-                return float(np.real(np.vdot(y, y))) + q * q * pulse.remaining_norm(tt) - u
-
-            event.terminal = True
-            event.direction = -1
-            sol = solve_ivp(rhs, (t, t_end), psi, method="DOP853",
-                            rtol=1e-10, atol=1e-12, events=event)
-            if not sol.success:
-                raise RuntimeError(f"trajectory integration failed: {sol.message}")
-            if sol.t_events[0].size:
-                t_jump = float(sol.t_events[0][0])
-                psi_pre = sol.y_events[0][0]
+        if q > 0 and pulse.remaining_norm(t) > _PULSE_TAIL_CUTOFF:
+            # time-dependent source: the shared path until the norm falls through u
+            t_jump, psi_pre, crossed = pulse_path.crossing(u)
+            if crossed:
                 new = do_jump(psi_pre, q, t_jump)
                 if new is None:
                     raise RuntimeError("norm threshold crossed with zero jump rate")
                 psi, q, t = new, 0.0, t_jump
                 continue
-            psi = sol.y[:, -1]
+            psi = psi_pre
             if total_norm_sq(psi, q, t_end) > start_norm + 1e-4:
                 raise RuntimeError("norm accounting drift exceeds 1e-4 during the pulse")
             t = t_end
@@ -367,6 +442,7 @@ def _ensemble_init(h_nh, collapses, duration, pulse, space, base_seed, init, t_s
         h_nh=h_nh, collapses=collapses, duration=duration, pulse=pulse,
         space=space, base_seed=base_seed, init=init, t_start=t_start,
         prop=EigenPropagator(h_nh),
+        pulse_path=PulsePath(h_nh, collapses, space, pulse, t_start, t_start + duration),
     )
 
 
@@ -376,6 +452,7 @@ def _ensemble_one(index: int, on_jump=None) -> Trajectory:
         w["h_nh"], w["collapses"], w["init"], w["duration"],
         (w["base_seed"], index), pulse=w["pulse"], space=w["space"],
         propagator=w["prop"], t_start=w["t_start"], on_jump=on_jump,
+        pulse_path=w["pulse_path"],
     )
 
 
@@ -405,7 +482,12 @@ def _map_ensemble(fn, n_traj: int, threads: int | None, init_args: tuple) -> lis
     threads = threads if threads is not None else min(os.cpu_count() or 1, 8)
     if threads <= 1 or n_traj < 8:
         _ensemble_init(*init_args)
-        return [fn(i) for i in range(n_traj)]
+        try:
+            return [fn(i) for i in range(n_traj)]
+        finally:
+            # the pulse path keeps hundreds of interpolants: free them before the
+            # caller's next allocations, not at the next ensemble
+            _WORKER.clear()
     import multiprocessing as mp
 
     with mp.get_context("fork").Pool(threads, initializer=_ensemble_init,

@@ -233,3 +233,27 @@ class TestExperiments:
         conf.write_text(json.dumps({"threads": 2}))
         assert main(["--config", str(conf), "gain"]) == 2
         assert "unknown config key 'threads'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["trajectories", "--n-traj", "0"], "--n-traj"),
+        (["trajectories", "--duration", "-5"], "--duration"),
+        (["dark-counts", "--anharmonicity", "40", "--duration", "-5"], "--duration"),
+        (["pulse-response", "--points", "1"], "--points"),
+        (["pulse-response", "--tau-kappa1", "0"], "--tau-kappa1"),
+        (["pulse-response", "--tol", "0"], "--tol"),
+        (["setting-rate", "--n2", "0"], "--n2"),
+        (["gain", "--n2", "-1"], "--n2"),
+        (["trajectories", "--n1", "-1"], "--n1"),
+        (["reflection", "--n2-reflection", "0"], "--n2-reflection"),
+        (["dark-counts", "--anharmonicity", "40", "--trajectories", "-1"], "--trajectories"),
+        (["dark-counts", "--anharmonicity", "40", "--t-end", "inf"], "--t-end"),
+    ])
+    def test_out_of_range_option_is_config_error(self, argv, flag, capsys):
+        assert main(argv) == 2
+        assert f"config error: {flag} must be" in capsys.readouterr().err
+
+    def test_mistyped_option_in_config_is_config_error(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"n_traj": "many"}))
+        assert main(["--config", str(conf), "trajectories"]) == 2
+        assert "--n-traj must be at least 1, got 'many'" in capsys.readouterr().err

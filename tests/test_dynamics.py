@@ -191,6 +191,35 @@ class TestSinglePhoton:
         assert i_out[late].max() > 0.2 * i_out.max()
         assert np.all(i_out >= -1e-12)
 
+    def test_diagnostics(self, monkeypatch):
+        import spt.dynamics
+        from scipy.integrate import solve_ivp
+
+        calls = []
+
+        def counted(fun, *args, **kwargs):
+            def f(t, y):
+                calls.append(t)
+                return fun(t, y)
+            return solve_ivp(f, *args, **kwargs)
+
+        monkeypatch.setattr(spt.dynamics, "solve_ivp", counted)
+        p = SystemParams(g1=0.3, g2=1, omega=2, kappa1=0.18, kappa2=1)
+        tau = 6.0 / p.kappa1
+        pulse = PulseSpec.from_tau(tau=tau, center_time=4.5 * tau)
+        peaks = []
+        for n2 in (2, 4):
+            calls.clear()
+            res = single_photon_response(p, pulse, np.linspace(0.0, 9.0 * tau, 40),
+                                         spec=HilbertSpec(1, n2), tol=1e-7)
+            assert res.rhs_evals == len(calls) > 0      # hierarchy and absorption solves
+            space = build_space(HilbertSpec(1, n2))
+            top = [i for i in range(space.dim) if space.labels(i)[2] == n2]
+            final = float(np.real(np.diag(res.final_rho))[top].sum())
+            assert final <= res.top_layer_peak <= 1.0
+            peaks.append(res.top_layer_peak)
+        assert peaks[0] > peaks[1] > 0.0               # a larger truncation leaks less
+
     def test_short_pulse_warns(self):
         p = SystemParams(g1=0.05, g2=1, omega=2, kappa1=0.01, kappa2=1)
         pulse = PulseSpec.from_tau(tau=10.0, center_time=40.0)

@@ -3,12 +3,13 @@ import warnings
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import solve_ivp
 
 import spt.montecarlo as mc
 from spt.hilbert import HilbertSpec, build_space
 from spt.model import (CollapseSet, SystemParams, collapse_set, hamiltonian_finite_A,
                        hamiltonian_ideal, nonhermitian)
-from spt.dynamics import PulseSpec, gain_and_bandwidth
+from spt.dynamics import PulseSpec, gain_and_bandwidth, gaussian_pulse
 from spt.effective import dark_rates_steady, setting_rate
 from spt.montecarlo import (EigenPropagator, counts_to_statistics, dark_count_trajectories,
                             gain_statistics, no_jump_rates, run_ensemble, run_trajectory,
@@ -179,6 +180,114 @@ class TestJumpTimeSearch:
         tr = mc.Trajectory(jumps=[], initial_state_label="custom", duration=1.0, seed=(0, 0),
                            final_norm_accounting=1.0)
         assert (tr.norm_evals, tr.newton_steps, tr.search_fallbacks) == (0, 0, 0)
+
+
+class _SolveIvpPath:
+    """The oracle: the in-pulse step as one solve_ivp per trajectory, from psi = 0
+    at t_start, with a terminal norm-threshold event."""
+
+    def __init__(self, h_nh, collapses, space, pulse, t_start, t_end):
+        self.h_nh, self.pulse = h_nh, pulse
+        self.t_start, self.t_end = float(t_start), float(t_end)
+        g10 = space.basis_state("g", 1, 0)
+        self.sqrt_k1 = float(np.linalg.norm(collapses.get("kappa1") @ g10))
+        self.i_g10 = int(np.argmax(np.abs(g10)))
+
+    def crossing(self, u):
+        h_nh, pulse, sqrt_k1, i_g10, q = self.h_nh, self.pulse, self.sqrt_k1, self.i_g10, 1.0
+
+        def rhs(tt, y):
+            dy = -1j * (h_nh @ y)
+            dy[i_g10] -= sqrt_k1 * q * float(gaussian_pulse(pulse, tt))
+            return dy
+
+        def event(tt, y):
+            return float(np.real(np.vdot(y, y))) + q * q * pulse.remaining_norm(tt) - u
+
+        event.terminal = True
+        event.direction = -1
+        sol = solve_ivp(rhs, (self.t_start, self.t_end), np.zeros(h_nh.shape[0], dtype=complex),
+                        method="DOP853", rtol=1e-10, atol=1e-12, events=event)
+        assert sol.success
+        if sol.t_events[0].size:
+            return float(sol.t_events[0][0]), sol.y_events[0][0], True
+        return self.t_end, sol.y[:, -1], False
+
+
+class TestPulsePath:
+    """Single-photon-input trajectories share one pre-click path, and get the
+    jump times of a solve_ivp event run per trajectory bit for bit."""
+
+    @staticmethod
+    def _both(monkeypatch, n2=10, seeds=(3, 17, 2024), threads=1, duration=None,
+              t_start=0.0):
+        """Shared-path ensembles over ``threads`` workers, and the oracle's in one."""
+        space, cols, h_nh, init, full, n_traj, pulse = _pulse_input()
+        if n2 != 10:
+            space, cols, h_nh = _ideal(HilbertSpec(1, n2))
+
+        def ensembles(workers):
+            return [run_ensemble(h_nh, cols, init, duration or full, n_traj, seed, pulse=pulse,
+                                 space=space, threads=workers, t_start=t_start)
+                    for seed in seeds]
+
+        shared = ensembles(threads)
+        with monkeypatch.context() as m:
+            m.setattr(mc, "PulsePath", _SolveIvpPath)
+            oracle = ensembles(1)
+        for fast, ref in zip(shared, oracle):
+            assert [t.jumps for t in fast] == [t.jumps for t in ref]
+            assert ([t.final_norm_accounting for t in fast]
+                    == [t.final_norm_accounting for t in ref])
+        return shared
+
+    @pytest.mark.parametrize("n2, threads", [(10, 1), (10, 2), (12, 1), (12, 2)])
+    def test_jumps_equal_solve_ivp_per_trajectory(self, n2, threads, monkeypatch):
+        # one seed over the pool: with multithreaded BLAS its workers oversubscribe
+        # the cores, and a pool ensemble costs several times a serial one
+        seeds = (3, 17, 2024) if threads == 1 else (17,)
+        shared = self._both(monkeypatch, n2=n2, seeds=seeds, threads=threads)
+        assert sum(len(t.jumps) for ens in shared for t in ens) > 0
+
+    def test_path_that_reaches_the_end_without_a_crossing(self, monkeypatch):
+        # up to 4 tau of the 4.5 tau pulse centre most thresholds are not met
+        tau = _pulse_input()[-1].tau
+        (shared,) = self._both(monkeypatch, seeds=(5,), duration=4.0 * tau)
+        assert sum(not t.jumps for t in shared) >= len(shared) // 2
+        assert any(t.jumps for t in shared)
+
+    def test_start_inside_the_pulse(self, monkeypatch):
+        tau = _pulse_input()[-1].tau
+        shared = self._both(monkeypatch, seeds=(3, 11), t_start=2.5 * tau)
+        assert all(t.jumps and t.jumps[0][0] > 2.5 * tau for ens in shared for t in ens)
+
+    def test_one_pulse_ode_per_ensemble(self, monkeypatch):
+        space, cols, h_nh, init, duration, n_traj, pulse = _pulse_input()
+        built = []
+
+        class CountedDOP853(mc.DOP853):
+            def __init__(self, *args, **kwargs):
+                built.append(args[1])
+                super().__init__(*args, **kwargs)
+
+        def no_solve_ivp(*args, **kwargs):
+            raise AssertionError("solve_ivp called on the eigen path")
+
+        monkeypatch.setattr(mc, "DOP853", CountedDOP853)
+        monkeypatch.setattr(mc, "solve_ivp", no_solve_ivp)
+        trajs = run_ensemble(h_nh, cols, init, duration, n_traj, 9, pulse=pulse, space=space,
+                             threads=1)
+        assert len(trajs) == n_traj and built == [0.0]
+        # a caller without an ensemble gets a path of its own
+        run_trajectory(h_nh, cols, init, duration, (9, 0), pulse=pulse, space=space)
+        assert built == [0.0, 0.0]
+
+    def test_path_over_another_interval_is_refused(self):
+        space, cols, h_nh, init, duration, _, pulse = _pulse_input()
+        path = mc.PulsePath(h_nh, cols, space, pulse, 0.0, duration)
+        with pytest.raises(ValueError, match="another time interval"):
+            run_trajectory(h_nh, cols, init, duration, (1, 0), pulse=pulse, space=space,
+                           t_start=1.0, pulse_path=path)
 
 
 class TestCountStatistics:
