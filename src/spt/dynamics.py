@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from .effective import setting_rate
 from .hilbert import HilbertSpec, HilbertSpace, build_space
@@ -210,6 +210,34 @@ def _top_layer_projectors(space: HilbertSpace):
     return top1, top2
 
 
+def _grid_solve(fun, t_grid: np.ndarray, y0: np.ndarray, rtol: float, atol: float,
+                rows=slice(None), what: str = "ODE") -> tuple[np.ndarray, int, tuple[int, int]]:
+    """``solve_ivp(fun, (t_grid[0], t_grid[-1]), y0, t_eval=t_grid, method="DOP853")``
+    replayed step for step, storing only ``rows`` of y: (ys, nfev, (accepted,
+    rejected) steps) with ys[:, k] = y(t_grid[k])[rows].  After each step the
+    grid points up to its end (side="right") are read from its dense output, as
+    solve_ivp does, so every stored bit is solve_ivp's.
+    """
+    if np.any(np.diff(t_grid) <= 0):
+        raise ValueError("t_grid must be strictly increasing")
+    solver = DOP853(fun, float(t_grid[0]), y0, float(t_grid[-1]), rtol=rtol, atol=atol)
+    ys = np.empty((len(solver.y[rows]), len(t_grid)), dtype=solver.y.dtype)
+    i = accepted = rejected = 0
+    while solver.status == "running":
+        nfev = solver.nfev
+        message = solver.step()
+        if solver.status == "failed":
+            raise RuntimeError(f"{what} integration failed: {message}")
+        tries = (solver.nfev - nfev) // solver.n_stages   # DOP853 calls the RHS 12 times a try
+        accepted += tries > 0
+        rejected += max(tries - 1, 0)
+        j = np.searchsorted(t_grid, solver.t, side="right")
+        if j > i:
+            ys[:, i:j] = solver.dense_output()(t_grid[i:j])[rows]
+            i = j
+    return ys, solver.nfev, (accepted, rejected)
+
+
 def lindblad_propagate(
     h: np.ndarray,
     collapses: CollapseSet,
@@ -247,18 +275,7 @@ def lindblad_propagate(
             ys.append(y)
         ys = np.array(ys).T
     else:
-        sol = solve_ivp(
-            lambda _t, y: lv @ y,
-            (t_grid[0], t_grid[-1]),
-            y0,
-            t_eval=t_grid,
-            method="DOP853",
-            rtol=tol,
-            atol=tol * 1e-4,
-        )
-        if not sol.success:
-            raise RuntimeError(f"Lindblad integration failed: {sol.message}")
-        ys = sol.y
+        ys, _, _ = _grid_solve(lambda _t, y: lv @ y, t_grid, y0, tol, tol * 1e-4, what="Lindblad")
 
     rhos = ys.T.reshape(len(t_grid), dim, dim)
     rhos = 0.5 * (rhos + np.conj(np.swapaxes(rhos, 1, 2)))
@@ -338,6 +355,7 @@ class SinglePhotonResult:
     n_out1: float                # photons returned to port 1 on the grid
     final_rho: np.ndarray
     rhs_evals: int = 0           # right-hand-side calls of the hierarchy and absorption solves
+    steps: tuple = (0, 0)        # accepted and rejected steps of the hierarchy solve
     top_layer_peak: float = 0.0  # largest rho_11 population in the top n2 layer on the grid
 
 
@@ -388,42 +406,52 @@ def _support(lv: sparse.csr_matrix, seeds: np.ndarray) -> np.ndarray:
         reach = grown
 
 
+def _hierarchy_support(lv: sparse.csr_matrix, space: HilbertSpace):
+    """(col, src, sup): the |g,0,0> column of rho_10 as indices into vec rho_10,
+    the places where the rho_11 source can be nonzero (dim x dim, boolean) on
+    the rows and columns g,1,0 and g,0,0, and the rho_11 support: the sorted
+    indices into vec rho_11 reachable from rho_00 and those places in the
+    sparsity graph of L (jump terms included).  Every other entry of the
+    hierarchy state stays exactly zero."""
+    dim = space.dim
+    i_g00 = space.index("g", 0, 0)
+    i_g10 = space.index("g", 1, 0)
+    a1d = space.annihilation("cavity1").conj().T
+    col = np.arange(dim) * dim + i_g00
+    # x = the rho_10 column lives on the states reachable from g,1,0, and
+    # s = [a1^dag, rho_01] with rho_01 = |g,0,0><x| on rows g,1,0 (x's states)
+    # and g,0,0 (a1 x's states); the source s + s^dag sits there and on the
+    # transposed places, rho_00 at (g,0,0; g,0,0)
+    on_x = _support(lv[col][:, col], np.arange(dim) == i_g10)
+    src = np.zeros((dim, dim), dtype=bool)
+    src[i_g10, on_x] = True
+    src[i_g00, np.abs(a1d[on_x]).sum(axis=0) > 0] = True
+    src[i_g00, i_g00] = True
+    src |= src.T
+    return col, src, _support(lv, src.reshape(-1))
+
+
 def _hierarchy_rhs(lv: sparse.csr_matrix, space: HilbertSpace, kappa1: float,
-                   pulse: PulseSpec):
+                   pulse: PulseSpec, support: tuple):
     """Hierarchy right-hand side on the state [vec rho_10, vec rho_11].
 
     Evolves only the |g,0,0> column of rho_10 (see ``single_photon_response``),
-    and rho_11 only on its support: the entries reachable, in the sparsity
-    graph of L (jump terms included), from rho_00 and from the places where the
-    source can be nonzero, on the rows and columns g,1,0 and g,0,0.  Every other
-    entry stays exactly zero.  ``lv_col`` and ``lv_sup`` keep the per-row entry
-    order of ``lv``, and the source is added only at its places, with the same
-    per-element operations, so each sum matches the full-block product bit for
-    bit.
+    and rho_11 only on its support, both from ``_hierarchy_support``.
+    ``lv_col`` and ``lv_sup`` keep the per-row entry order of ``lv``, and the
+    source is added only at its places, with the same per-element operations,
+    so each sum matches the full-block product bit for bit.
     """
     dim = space.dim
     nf = dim * dim
     i_g00 = space.index("g", 0, 0)
     i_g10 = space.index("g", 1, 0)
     a1d = space.annihilation("cavity1").conj().T
-    col = np.arange(dim) * dim + i_g00
+    col, src, sup = support
     lv_col = lv[col][:, col]
     msk = -np.sqrt(kappa1)
     # the rho_10 source -sqrt(kappa1) [a1^dag, rho_00] = -sqrt(kappa1) |g,1,0><g,0,0|
     k10_col = np.zeros(dim, dtype=complex)
     k10_col[i_g10] = msk
-
-    # x = the rho_10 column lives on the states reachable from g,1,0, and
-    # s = [a1^dag, rho_01] with rho_01 = |g,0,0><x| on rows g,1,0 (x's states)
-    # and g,0,0 (a1 x's states); the source s + s^dag sits there and on the
-    # transposed places, rho_00 at (g,0,0; g,0,0)
-    on_x = _support(lv_col, np.arange(dim) == i_g10)
-    src = np.zeros((dim, dim), dtype=bool)
-    src[i_g10, on_x] = True
-    src[i_g00, np.abs(a1d[on_x]).sum(axis=0) > 0] = True
-    src[i_g00, i_g00] = True
-    src |= src.T
-    sup = _support(lv, src.reshape(-1))
     lv_sup = lv[sup][:, sup]
     a, b = np.nonzero(src)
     at = np.searchsorted(sup, a * dim + b)          # the source's places in the support
@@ -446,6 +474,9 @@ def _hierarchy_rhs(lv: sparse.csr_matrix, space: HilbertSpace, kappa1: float,
         return dy
 
     return rhs
+
+
+_CHUNK = 16   # grid points per assembled block in single_photon_response
 
 
 def single_photon_response(
@@ -474,13 +505,16 @@ def single_photon_response(
     ValueError otherwise).  So rho_00 is stationary and rho_10 = |x(t)><g,0,0|
     exactly, and the right-hand side evolves only that column (dim entries,
     not dim^2), and rho_11 only on the entries that L and the source can reach
-    (1210 of 4356 at (1,10)).  The ODE state keeps its full length 2 dim^2 all
-    the same: DOP853's error norm is an RMS over the whole vector, so the zero
-    entries fix its step sequence, and with it every output bit.
+    (1210 of 4356 at (1,10)).  Only those entries are kept on the grid (1276
+    of 8712); the full blocks are rebuilt _CHUNK time points at a time for the
+    per-time-point einsums.  The ODE state keeps its full length 2 dim^2: the
+    error norm is an RMS over the whole vector, and DOP853's stage sums depend
+    on each entry's place in it, so a shorter state would change output bits.
 
     Diagnostics (written to no artifact): ``rhs_evals``, the right-hand-side
-    calls of the hierarchy and absorption solves, and ``top_layer_peak``, the
-    largest rho_11 population of the top n2 layer on the grid.
+    calls of the hierarchy and absorption solves; ``steps``, the accepted and
+    rejected hierarchy steps; and ``top_layer_peak``, the largest rho_11
+    population of the top n2 layer on the grid.
 
     The absorbed fraction is the probability that the first quantum click is
     not a port-1 photon, computed from the deterministic no-jump evolution;
@@ -505,39 +539,44 @@ def single_photon_response(
     n2op = a2.conj().T @ a2
     rho00 = np.outer(space.basis_state("g", 0, 0), space.basis_state("g", 0, 0).conj())
     nf = dim * dim
-    rhs = _hierarchy_rhs(lv, space, params.kappa1, pulse)
+    support = _hierarchy_support(lv, space)
+    rhs = _hierarchy_rhs(lv, space, params.kappa1, pulse, support)
+    keep = np.concatenate([support[0], nf + support[2]])   # every other entry stays 0
 
     y0 = np.zeros(2 * nf, dtype=complex)
     y0[nf:] = rho00.reshape(-1)
-    sol = solve_ivp(rhs, (t_grid[0], t_grid[-1]), y0, t_eval=t_grid,
-                    method="DOP853", rtol=tol, atol=tol * 1e-4)
-    if not sol.success:
-        raise RuntimeError(f"single-photon integration failed: {sol.message}")
+    ys, nfev, steps = _grid_solve(rhs, t_grid, y0, tol, tol * 1e-4, keep, "single-photon")
 
-    rho10_t = sol.y[:nf].T.reshape(len(t_grid), dim, dim)
-    rho11_t = sol.y[nf:].T.reshape(len(t_grid), dim, dim)
-    rho11_t = 0.5 * (rho11_t + np.conj(np.swapaxes(rho11_t, 1, 2)))
+    obs = {"n2": n2op, "n1": a1.conj().T @ a1,
+           **{f"pop_{level}": space.qutrit_projector(level) for level in ("g", "e", "f")}}
+    top2 = _top_layer_projectors(space)[1]
+    parts = {name: [] for name in ("trace", "a1_rho10", "top", *obs)}
+    for k in range(0, len(t_grid), _CHUNK):
+        chunk = ys[:, k:k + _CHUNK]
+        blk = np.zeros((2 * nf, chunk.shape[1]), dtype=complex)
+        blk[keep] = chunk
+        rho10 = blk[:nf].T.reshape(-1, dim, dim)
+        rho11 = blk[nf:].T.reshape(-1, dim, dim)
+        rho11 = 0.5 * (rho11 + np.conj(np.swapaxes(rho11, 1, 2)))
+        parts["trace"].append(np.einsum("tii->t", rho11).real)
+        parts["a1_rho10"].append(np.einsum("ij,tji->t", a1, rho10))
+        parts["top"].append(np.einsum("tii->ti", rho11).real @ top2)
+        for name, op in obs.items():
+            parts[name].append(np.einsum("ij,tji->t", op, rho11).real)
+    out = {name: np.concatenate(v) for name, v in parts.items()}
+    final_rho = rho11[-1].copy()
 
-    traces = np.einsum("tii->t", rho11_t).real
-    if np.max(np.abs(traces - 1.0)) > 1e-3:
-        raise RuntimeError(
-            f"single-photon norm bookkeeping drift {np.max(np.abs(traces - 1.0)):.3g} > 1e-3"
-        )
+    drift = np.max(np.abs(out["trace"] - 1.0))
+    if drift > 1e-3:
+        raise RuntimeError(f"single-photon norm bookkeeping drift {drift:.3g} > 1e-3")
 
     xi_t = gaussian_pulse(pulse, t_grid)
     i_in1 = xi_t**2
-    i_out2 = params.kappa2 * np.einsum("ij,tji->t", n2op, rho11_t).real
-    n1_t = np.einsum("ij,tji->t", a1.conj().T @ a1, rho11_t).real
-    tr_a1_rho10 = np.einsum("ij,tji->t", a1, rho10_t)
-    i_out1 = i_in1 + params.kappa1 * n1_t + 2.0 * np.sqrt(params.kappa1) * np.real(
-        xi_t * np.conj(tr_a1_rho10)
+    i_out2 = params.kappa2 * out["n2"]
+    i_out1 = i_in1 + params.kappa1 * out["n1"] + 2.0 * np.sqrt(params.kappa1) * np.real(
+        xi_t * np.conj(out["a1_rho10"])
     )
     i_out1 = np.clip(i_out1, 0.0, None)
-
-    pops = {}
-    for lv_name in ("g", "e", "f"):
-        proj = space.qutrit_projector(lv_name)
-        pops[f"pop_{lv_name}"] = np.einsum("ij,tji->t", proj, rho11_t).real
 
     from .model import nonhermitian
 
@@ -550,7 +589,7 @@ def single_photon_response(
 
     gain_grid = float(np.trapezoid(i_out2, t_grid))
     if tail:
-        gain_tail = params.kappa2 * integrated_observable(lv, rho11_t[-1], rho00, n2op)
+        gain_tail = params.kappa2 * integrated_observable(lv, final_rho, rho00, n2op)
     else:
         gain_tail = 0.0
 
@@ -560,8 +599,8 @@ def single_photon_response(
             "I_in1": i_in1,
             "I_out1": i_out1,
             "I_out2": i_out2,
-            "n1": n1_t,
-            **pops,
+            "n1": out["n1"],
+            **{name: out[name] for name in ("pop_g", "pop_e", "pop_f")},
         },
         metadata={"absorbed_fraction": absorbed, "gain": gain_grid + gain_tail},
     )
@@ -570,10 +609,10 @@ def single_photon_response(
         absorbed_fraction=absorbed,
         gain=gain_grid + gain_tail,
         n_out1=float(np.trapezoid(i_out1, t_grid)),
-        final_rho=rho11_t[-1],
-        rhs_evals=sol.nfev + absorption_evals,
-        top_layer_peak=float((np.einsum("tii->ti", rho11_t).real
-                              @ _top_layer_projectors(space)[1]).max()),
+        final_rho=final_rho,
+        rhs_evals=nfev + absorption_evals,
+        steps=steps,
+        top_layer_peak=float(out["top"].max()),
     )
 
 

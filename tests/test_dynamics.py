@@ -1,13 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import DOP853, solve_ivp
 
+import spt.dynamics
 from spt.hilbert import HilbertSpec, build_space
-from spt.model import CollapseSet, DecoherenceParams, SystemParams, collapse_set, hamiltonian_ideal
-from spt.dynamics import (PulseSpec, TimeSeries, gain_and_bandwidth, gaussian_pulse,
-                          lindblad_propagate, liouvillian, single_photon_response,
-                          steady_state, steady_state_reflection)
+from spt.model import (CollapseSet, DecoherenceParams, SystemParams, collapse_set,
+                       hamiltonian_ideal, nonhermitian)
+from spt.dynamics import (PulseSpec, SinglePhotonResult, TimeSeries, gain_and_bandwidth,
+                          gaussian_pulse, lindblad_propagate, liouvillian,
+                          single_photon_response, steady_state, steady_state_reflection)
 from spt.effective import reflection_analytic, setting_rate
 
 
@@ -192,27 +197,37 @@ class TestSinglePhoton:
         assert np.all(i_out >= -1e-12)
 
     def test_diagnostics(self, monkeypatch):
-        import spt.dynamics
-        from scipy.integrate import solve_ivp
+        calls = {"hierarchy": 0, "absorption": 0}
+        hierarchy_rhs = spt.dynamics._hierarchy_rhs
 
-        calls = []
-
-        def counted(fun, *args, **kwargs):
+        def counted(name, fun):
             def f(t, y):
-                calls.append(t)
+                calls[name] += 1
                 return fun(t, y)
-            return solve_ivp(f, *args, **kwargs)
+            return f
 
-        monkeypatch.setattr(spt.dynamics, "solve_ivp", counted)
+        # the hierarchy RHS is counted where it is built, the absorption RHS
+        # where its solve_ivp receives it
+        monkeypatch.setattr(spt.dynamics, "_hierarchy_rhs",
+                            lambda *a: counted("hierarchy", hierarchy_rhs(*a)))
+        monkeypatch.setattr(spt.dynamics, "solve_ivp",
+                            lambda fun, *a, **kw: solve_ivp(counted("absorption", fun), *a, **kw))
         p = SystemParams(g1=0.3, g2=1, omega=2, kappa1=0.18, kappa2=1)
         tau = 6.0 / p.kappa1
         pulse = PulseSpec.from_tau(tau=tau, center_time=4.5 * tau)
         peaks = []
         for n2 in (2, 4):
-            calls.clear()
+            calls.update(hierarchy=0, absorption=0)
             res = single_photon_response(p, pulse, np.linspace(0.0, 9.0 * tau, 40),
                                          spec=HilbertSpec(1, n2), tol=1e-7)
-            assert res.rhs_evals == len(calls) > 0      # hierarchy and absorption solves
+            assert res.rhs_evals == calls["hierarchy"] + calls["absorption"]
+            assert calls["hierarchy"] > 0 and calls["absorption"] > 0
+            # DOP853: 2 start-up calls, 12 a try, 3 more per dense output (at most one a step)
+            accepted, rejected = res.steps
+            assert accepted > 0 and rejected >= 0
+            tries = accepted + rejected
+            assert 2 + 12 * tries <= calls["hierarchy"] <= 2 + 12 * tries + 3 * accepted
+            assert res.final_rho.base is None                # owns its 2-D block
             space = build_space(HilbertSpec(1, n2))
             top = [i for i in range(space.dim) if space.labels(i)[2] == n2]
             final = float(np.real(np.diag(res.final_rho))[top].sum())
@@ -228,11 +243,12 @@ class TestSinglePhoton:
                                    spec=HilbertSpec(1, 1), tail=False)
 
 
-def _full_block_rhs(lv, space, kappa1, pulse):
+def _full_block_rhs(lv, space, kappa1, pulse, _support=None):
     """Oracle: the hierarchy right-hand side on the whole rho_10 block.
 
     Full L rho_10 product and dense commutator [a1^dag, rho_01]; the library
     evolves only the |g,0,0> column of rho_10 and must match this bit for bit.
+    It ignores the library's support and evolves every entry.
     """
     dim = space.dim
     nf = dim * dim
@@ -297,6 +313,229 @@ class TestHierarchyColumn:
                                    spec=HilbertSpec(1, 2))
 
 
+def _solve_ivp_grid(fun, t_grid, y0, rtol, atol, rows=slice(None), what="ODE"):
+    """Oracle of ``spt.dynamics._grid_solve``: one solve_ivp call with t_eval
+    (the library's former route), every row of y stored, then ``rows`` kept."""
+    sol = solve_ivp(fun, (t_grid[0], t_grid[-1]), y0, t_eval=t_grid,
+                    method="DOP853", rtol=rtol, atol=atol)
+    if not sol.success:
+        raise RuntimeError(f"{what} integration failed: {sol.message}")
+    return sol.y[rows], sol.nfev, None
+
+
+def _reference_response(params, pulse, t_grid, spec, decoherence, tol):
+    """Oracle: ``single_photon_response`` as it was before it kept only the
+    evolved entries: solve_ivp with t_eval stores all 2 dim^2 entries at every
+    grid point, and the observables come from the full (time, dim, dim) grids.
+    Returns the result and the full ``sol.y``."""
+    space = build_space(spec)
+    h = hamiltonian_ideal(params, space)
+    cols = collapse_set(params, decoherence, space)
+    lv = liouvillian(h, cols)
+    dim, nf = space.dim, space.dim ** 2
+    a1 = space.annihilation("cavity1")
+    a2 = space.annihilation("cavity2")
+    n2op = a2.conj().T @ a2
+    rho00 = np.outer(space.basis_state("g", 0, 0), space.basis_state("g", 0, 0).conj())
+    rhs = spt.dynamics._hierarchy_rhs(lv, space, params.kappa1, pulse,
+                                      spt.dynamics._hierarchy_support(lv, space))
+    y0 = np.zeros(2 * nf, dtype=complex)
+    y0[nf:] = rho00.reshape(-1)
+    sol = solve_ivp(rhs, (t_grid[0], t_grid[-1]), y0, t_eval=t_grid,
+                    method="DOP853", rtol=tol, atol=tol * 1e-4)
+    assert sol.success
+    rho10_t = sol.y[:nf].T.reshape(len(t_grid), dim, dim)
+    rho11_t = sol.y[nf:].T.reshape(len(t_grid), dim, dim)
+    rho11_t = 0.5 * (rho11_t + np.conj(np.swapaxes(rho11_t, 1, 2)))
+    xi_t = gaussian_pulse(pulse, t_grid)
+    i_in1 = xi_t**2
+    i_out2 = params.kappa2 * np.einsum("ij,tji->t", n2op, rho11_t).real
+    n1_t = np.einsum("ij,tji->t", a1.conj().T @ a1, rho11_t).real
+    tr_a1_rho10 = np.einsum("ij,tji->t", a1, rho10_t)
+    i_out1 = np.clip(i_in1 + params.kappa1 * n1_t + 2.0 * np.sqrt(params.kappa1) * np.real(
+        xi_t * np.conj(tr_a1_rho10)), 0.0, None)
+    channels = {"I_in1": i_in1, "I_out1": i_out1, "I_out2": i_out2, "n1": n1_t}
+    for level in ("g", "e", "f"):
+        channels[f"pop_{level}"] = np.einsum("ij,tji->t", space.qutrit_projector(level),
+                                             rho11_t).real
+    absorbed, absorption_evals = spt.dynamics._first_click_absorption(
+        nonhermitian(h, cols), cols.get("kappa1"), np.sqrt(params.kappa1),
+        space.basis_state("g", 0, 0), space.index("g", 1, 0),
+        pulse, (t_grid[0], t_grid[-1]), max(tol, 1e-9))
+    tail = params.kappa2 * spt.dynamics.integrated_observable(lv, rho11_t[-1], rho00, n2op)
+    gain = float(np.trapezoid(i_out2, t_grid)) + tail
+    top2 = spt.dynamics._top_layer_projectors(space)[1]
+    res = SinglePhotonResult(
+        series=TimeSeries(times=t_grid, channels=channels),
+        absorbed_fraction=absorbed, gain=gain, n_out1=float(np.trapezoid(i_out1, t_grid)),
+        final_rho=rho11_t[-1], rhs_evals=sol.nfev + absorption_evals,
+        top_layer_peak=float((np.einsum("tii->ti", rho11_t).real @ top2).max()))
+    return res, sol.y
+
+
+def _assert_same_bits(res, ref):
+    assert list(res.series.channels) == list(ref.series.channels)
+    for name, values in ref.series.channels.items():
+        assert res.series.channels[name].tobytes() == values.tobytes(), name
+    for name in ("gain", "absorbed_fraction", "n_out1", "rhs_evals", "top_layer_peak"):
+        assert repr(getattr(res, name)) == repr(getattr(ref, name)), name
+    assert res.final_rho.tobytes() == ref.final_rho.tobytes()
+
+
+class TestKeptEntries:
+    """single_photon_response stores only the evolved entries on the grid;
+    every output must be bit for bit the full-grid route's."""
+
+    p = SystemParams(g1=0.3, g2=1, omega=2, kappa1=0.18, kappa2=1)   # kappa1 ~ Gamma_set
+    pulse = PulseSpec.from_tau(tau=6.0 / 0.18, center_time=4.5 * 6.0 / 0.18)
+
+    @pytest.mark.parametrize("spec, dec, points", [
+        (HilbertSpec(1, 4), None, 60),
+        (HilbertSpec(1, 4), DecoherenceParams(gamma_eg=0.01, gamma_fe=0.02,
+                                              gamma_p_ee=0.005, gamma_p_ff=0.01), 60),
+        (HilbertSpec(2, 3), None, 60),
+        (HilbertSpec(1, 10), None, 61),
+        (HilbertSpec(1, 4), None, 2),                  # the two-point grid
+        (HilbertSpec(1, 4), None, 17),                 # one point past a whole chunk
+    ])
+    def test_bitwise_equal_to_full_grid_oracle(self, spec, dec, points):
+        grid = np.linspace(0.0, 9.0 * self.pulse.tau, points)
+        res = single_photon_response(self.p, self.pulse, grid, spec=spec, decoherence=dec,
+                                     tol=1e-7)
+        ref, _ = _reference_response(self.p, self.pulse, grid, spec, dec, 1e-7)
+        _assert_same_bits(res, ref)
+        assert res.final_rho.base is None
+        if points > 2:
+            assert res.gain > 1.0 and res.absorbed_fraction > 0.9   # a non-trivial run
+
+    def test_full_block_rhs_leaves_dropped_entries_zero(self, monkeypatch):
+        # the full right-hand side evolves every entry, so a kept-row set that
+        # missed a nonzero entry would show here, in the oracle's sol.y
+        monkeypatch.setattr(spt.dynamics, "_hierarchy_rhs", _full_block_rhs)
+        spec = HilbertSpec(1, 4)
+        grid = np.linspace(0.0, 9.0 * self.pulse.tau, 60)
+        res = single_photon_response(self.p, self.pulse, grid, spec=spec, tol=1e-7)
+        ref, ys = _reference_response(self.p, self.pulse, grid, spec, None, 1e-7)
+        _assert_same_bits(res, ref)
+        space = build_space(spec)
+        lv = liouvillian(hamiltonian_ideal(self.p, space), collapse_set(self.p, None, space))
+        col, _, sup = spt.dynamics._hierarchy_support(lv, space)
+        dropped = np.ones(len(ys), dtype=bool)
+        dropped[col] = dropped[space.dim ** 2 + sup] = False
+        assert dropped.sum() > 0 and ys.shape[1] == len(grid)
+        assert np.all(ys[dropped] == 0)
+
+    def test_peak_memory(self):
+        # the size of the benchmark's call, (1,10) on 600 points; the memory
+        # follows the shapes, not the parameters, which here integrate 3x faster
+        grid = np.linspace(0.0, 9.0 * self.pulse.tau, 600)
+        tracemalloc.start()
+        try:
+            res = single_photon_response(self.p, self.pulse, grid, spec=HilbertSpec(1, 10),
+                                         tol=1e-7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the full-grid route peaked at 164.5 MiB here: two 84 MB copies of the full states
+        assert peak <= 30 * 2**20, f"{peak / 2**20:.1f} MiB"
+        assert res.final_rho.base is None
+
+
+class TestGridSolve:
+    """spt.dynamics._grid_solve replays solve_ivp(t_eval=...) bit for bit."""
+
+    @staticmethod
+    def _problem():
+        space = build_space(HilbertSpec(1, 2))
+        p = SystemParams(g1=0.2, g2=1, omega=1.5, kappa1=0.1, kappa2=0.7)
+        lv = liouvillian(hamiltonian_ideal(p, space), collapse_set(p, None, space))
+        psi = space.basis_state("e", 0, 0)
+        return (lambda _t, y: lv @ y), np.outer(psi, psi.conj()).reshape(-1).astype(complex)
+
+    def _check(self, t_grid, rows=slice(None)):
+        fun, y0 = self._problem()
+        ys, nfev, steps = spt.dynamics._grid_solve(fun, t_grid, y0, 1e-8, 1e-12, rows)
+        ref, ref_nfev, _ = _solve_ivp_grid(fun, t_grid, y0, 1e-8, 1e-12, rows)
+        assert ys.shape == ref.shape and ys.tobytes() == ref.tobytes()
+        assert nfev == ref_nfev and steps[0] > 0 and steps[1] >= 0
+        return ys
+
+    def _step_ends(self, t0, tf):
+        fun, y0 = self._problem()
+        solver = DOP853(fun, t0, y0, tf, rtol=1e-8, atol=1e-12)
+        ends = []
+        while solver.status == "running":
+            solver.step()
+            ends.append(solver.t)
+        return ends
+
+    def test_dense_grid_from_t0(self):
+        # t0 itself is read from the first step's dense output, at its start
+        ys = self._check(np.linspace(0.0, 30.0, 97))
+        assert np.allclose(ys[:, 0], self._problem()[1], rtol=0, atol=1e-15)
+
+    def test_point_on_a_step_end(self):
+        ends = self._step_ends(0.0, 30.0)
+        assert len(ends) > 4
+        # the steps depend on t0 and tf only, so ends[2] is a step end of this run
+        grid = np.array([0.0, 0.5 * ends[1], ends[2], 0.5 * (ends[2] + ends[3]), 30.0])
+        self._check(grid)
+        self._check(grid, rows=np.array([0, 4, 7]))
+
+    def test_two_point_grid(self):
+        self._check(np.array([0.0, 30.0]))
+
+    def test_rejects_unsorted_grid(self):
+        fun, y0 = self._problem()
+        with pytest.raises(ValueError, match="increasing"):
+            spt.dynamics._grid_solve(fun, np.array([0.0, 2.0, 1.0]), y0, 1e-8, 1e-12)
+
+
+def _lindblad_cases():
+    """The lindblad_propagate calls of TestLindblad and TestGain, as (h, cols, rho0, t, kw)."""
+    cases = []
+    space = build_space(HilbertSpec(1, 1))
+    cols = CollapseSet([("kappa2", np.sqrt(0.8) * space.annihilation("cavity2"))])
+    psi = space.basis_state("e", 0, 1)
+    cases.append((np.zeros((space.dim,) * 2, dtype=complex), cols, np.outer(psi, psi.conj()),
+                  np.linspace(0, 6, 61), {"expectations": {"n2": space.number("cavity2")}}))
+    h = hamiltonian_ideal(SystemParams(g1=0.1, g2=1, omega=2), space)
+    psi = space.basis_state("e", 0, 0)
+    cases.append((h, CollapseSet([]), np.outer(psi, psi.conj()), np.linspace(0, 10, 21),
+                  {"tol": 1e-10}))
+    space = build_space(HilbertSpec(1, 2))
+    h = hamiltonian_ideal(SystemParams(g1=0.3, g2=1, omega=0.0), space)
+    psi = (space.basis_state("e", 0, 0) + space.basis_state("g", 1, 0)) / np.sqrt(2)
+    cases.append((h, CollapseSet([]), np.outer(psi, psi.conj()), np.linspace(0, 20, 11),
+                  {"tol": 1e-9, "expectations": {"N": space.number("cavity1")}}))
+    space = build_space(HilbertSpec(0, 1))
+    p = SystemParams(g1=0, g2=1, omega=2, kappa2=0.1)
+    psi = space.basis_state("f", 0, 0)
+    cases.append((hamiltonian_ideal(p, space), collapse_set(p, None, space),
+                  np.outer(psi, psi.conj()), np.linspace(0, 3, 7), {"space": space}))
+    space = build_space(HilbertSpec(1, 6))
+    p = SystemParams(g1=0.3, g2=1, omega=2, kappa1=0.02, kappa2=1)
+    a2 = space.annihilation("cavity2")
+    psi = space.basis_state("e", 0, 0)
+    cases.append((hamiltonian_ideal(p, space), collapse_set(p, None, space),
+                  np.outer(psi, psi.conj()), np.linspace(0.0, 100.0, 2001),
+                  {"expectations": {"n2": a2.conj().T @ a2}, "space": space}))
+    return cases
+
+
+@pytest.mark.filterwarnings("ignore:top Fock layer")
+@pytest.mark.parametrize("case", range(5))
+def test_lindblad_propagate_equals_solve_ivp_route(case, monkeypatch):
+    h, cols, rho0, t, kw = _lindblad_cases()[case]
+    ts, rho_end = lindblad_propagate(h, cols, rho0, t, **kw)
+    monkeypatch.setattr(spt.dynamics, "_grid_solve", _solve_ivp_grid)
+    ref_ts, ref_end = lindblad_propagate(h, cols, rho0, t, **kw)
+    assert list(ts.channels) == list(ref_ts.channels)
+    for name, values in ref_ts.channels.items():
+        assert ts.channels[name].tobytes() == values.tobytes(), name
+    assert rho_end.tobytes() == ref_end.tobytes()
+
+
 class TestGain:
     def test_gain_matches_time_integration(self):
         # independent route: kappa2 * trapezoid of <n2>(t) from the Lindblad
@@ -337,6 +576,7 @@ class TestGain:
 
         monkeypatch.setattr(spla, "splu", counted_splu)
         monkeypatch.setattr(spt.dynamics, "solve_ivp", counted_solve_ivp)
+        monkeypatch.setattr(spt.dynamics, "_grid_solve", counted_solve_ivp)
         gain_and_bandwidth(SystemParams(g1=0.15, g2=1, omega=2, kappa2=1), n2_trunc=6)
         assert calls == {"splu": 1, "solve_ivp": 0}
 
