@@ -31,16 +31,8 @@ class ConfigError(ValueError):
     pass
 
 
-def parse_grid(text: str, auto_center: float | None = None) -> np.ndarray:
-    """Grid syntax start:stop:count, log:start:stop:count, or bare 'log'.
-
-    Bare 'log' spans two decades around auto_center with 40 points (used for
-    the reflection sweep, centred on the setting rate).
-    """
-    if text == "log":
-        if auto_center is None:
-            raise ConfigError("bare 'log' grid needs a natural centre")
-        return np.geomspace(auto_center / 10.0, auto_center * 10.0, 41)
+def parse_grid(text: str) -> np.ndarray:
+    """Grid syntax start:stop:count or log:start:stop:count."""
     parts = text.split(":")
     log = False
     if parts and parts[0] == "log":
@@ -99,9 +91,9 @@ def _conv(args) -> float:
     return args.g2_mhz
 
 
-def _grid_in_g2(args, text: str, auto_center: float | None = None) -> np.ndarray:
+def _grid_in_g2(args, text: str) -> np.ndarray:
     """Parse a rate grid, converting 2*pi*MHz endpoints in mhz mode."""
-    return parse_grid(text, auto_center=auto_center) / _conv(args)
+    return parse_grid(text) / _conv(args)
 
 
 def _anharmonicity(args) -> float:
@@ -232,16 +224,10 @@ def run_pulse_response(args) -> int:
     grid = np.linspace(0.0, 9.0 * tau, args.points)
     res = single_photon_response(p, pulse, grid, spec=HilbertSpec(1, args.n2),
                                  decoherence=_decoherence(args), tol=args.tol)
-    ts = res.series
-    ts.metadata = _metadata(args, n2=args.n2, gamma_set=gamma_set, tau=tau,
-                            absorbed_fraction=res.absorbed_fraction, gain=res.gain,
-                            experiment="pulse-response")
-    if args.output in (None, "-"):
-        names = list(ts.channels)
-        write_csv(None, ts.metadata, ["time"] + names,
-                  zip(ts.times, *[ts.channels[n] for n in names]))
-    else:
-        ts.to_csv(args.output)
+    res.series.metadata = _metadata(args, n2=args.n2, gamma_set=gamma_set, tau=tau,
+                                    absorbed_fraction=res.absorbed_fraction, gain=res.gain,
+                                    experiment="pulse-response")
+    res.series.to_csv(args.output)
     return 0
 
 
@@ -396,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n2", type=int, default=10)
 
     p = experiment("reflection", "steady-state reflection vs kappa1", run_reflection)
-    p.add_argument("--kappa1-grid", default="log")
+    p.add_argument("--kappa1-grid", default="log",
+                   help="a grid, or log: 41 points from Gamma_set/10 to 10 Gamma_set")
     p.add_argument("--n2", type=int, default=10)
     p.add_argument("--n2-reflection", type=int, default=8)
 

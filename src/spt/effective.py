@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import HilbertSpec, build_space
-from .model import SystemParams, residual_drive_element
+from .model import (SystemParams, collapse_set, hamiltonian_finite_A, nonhermitian,
+                    residual_drive_element)
 
 
 class SingularEliminationError(RuntimeError):
@@ -232,8 +233,6 @@ def dark_rates_steady(params: SystemParams, extended_space: bool = False) -> Dar
     extended_space=True enlarges it to the full (N1=1, N2=1) truncation minus
     |g,0,0> to test convergence.  V_dark+ = (omega / 2 sqrt(2)) |e,0,0><g,0,0|.
     """
-    from .model import collapse_set, hamiltonian_finite_A
-
     a = params.anharmonicity
     if not math.isfinite(a) or a <= 0:
         raise ValueError("dark rates require finite anharmonicity > 0")
@@ -241,9 +240,7 @@ def dark_rates_steady(params: SystemParams, extended_space: bool = False) -> Dar
     space = build_space(HilbertSpec(1, 1))
     h = hamiltonian_finite_A(params, space)
     cols = collapse_set(params.replace(kappa1=0.0), None, space, split=True)
-    c_g = cols.get("kappa2_G")
-    c_e = cols.get("kappa2_E")
-    h_nh_full = h - 0.5j * (c_g.conj().T @ c_g) - 0.5j * (c_e.conj().T @ c_e)
+    h_nh_full = nonhermitian(h, cols)
 
     if extended_space:
         kept = [space.labels(i) for i in range(space.dim)]
@@ -258,8 +255,8 @@ def dark_rates_steady(params: SystemParams, extended_space: bool = False) -> Dar
     v = np.zeros((len(elim), 1), dtype=complex)
     v[elim.index(("e", 0, 0)), 0] = w_r
 
-    c_g_e = c_g[:, elim_idx]   # full-space rows, eliminated columns
-    c_e_e = c_e[:, elim_idx]
+    c_g_e = cols.get("kappa2_G")[:, elim_idx]   # full-space rows, eliminated columns
+    c_e_e = cols.get("kappa2_E")[:, elim_idx]
 
     jump_g = effective_jump(c_g_e, h_e, v, source_label="|g,0,0>",
                             target_labels=[("g", 0, 0)])

@@ -35,9 +35,19 @@ class HilbertSpec:
         return 3 * (self.n1_max + 1) * (self.n2_max + 1)
 
 
+def _level(m) -> int:
+    """Index of a qutrit level given as 'g'/'e'/'f' or 0/1/2; ValueError otherwise."""
+    if isinstance(m, str) and m in _LEVEL_INDEX:
+        return _LEVEL_INDEX[m]
+    if isinstance(m, (int, np.integer)) and 0 <= m < 3:
+        return int(m)
+    raise ValueError(f"qutrit level must be one of {QUTRIT_LEVELS} or 0, 1, 2; got {m!r}")
+
+
 @dataclass(frozen=True)
 class HilbertSpace:
-    """Concrete basis with index maps and cached elementary operators."""
+    """Concrete basis with index maps; operators are Kronecker products of the
+    qutrit, cavity-1 and cavity-2 factors, built on each call."""
 
     spec: HilbertSpec
     dim: int = field(init=False)
@@ -49,9 +59,7 @@ class HilbertSpace:
 
     def index(self, m, n1: int, n2: int) -> int:
         """Flat basis index of |m, n1, n2>; m is 'g'/'e'/'f' or 0/1/2."""
-        mi = _LEVEL_INDEX[m] if isinstance(m, str) else int(m)
-        if not (0 <= mi < 3):
-            raise ValueError(f"qutrit level out of range: {m}")
+        mi = _level(m)
         if not (0 <= n1 <= self.spec.n1_max and 0 <= n2 <= self.spec.n2_max):
             raise ValueError(f"Fock label out of range: ({m},{n1},{n2})")
         return (mi * (self.spec.n1_max + 1) + n1) * (self.spec.n2_max + 1) + n2
@@ -75,22 +83,23 @@ class HilbertSpace:
 
     # -- elementary operators ----------------------------------------------
 
+    def _kron(self, qutrit: np.ndarray, cavity1=None, cavity2=None) -> np.ndarray:
+        """qutrit (x) cavity1 (x) cavity2; an omitted cavity factor is the identity."""
+        cavity1 = np.eye(self.spec.n1_max + 1) if cavity1 is None else cavity1
+        cavity2 = np.eye(self.spec.n2_max + 1) if cavity2 is None else cavity2
+        return np.kron(qutrit, np.kron(cavity1, cavity2)).astype(complex)
+
     def annihilation(self, subsystem: str) -> np.ndarray:
         """Bare annihilation operator for 'cavity1' or 'cavity2'.
 
         Matrix elements <m,n1,n2-1| a2 |m,n1,n2> = sqrt(n2) (same pattern on
         n1 for cavity 1); the qutrit index is untouched.
         """
-        if subsystem not in ("cavity1", "cavity2"):
+        n_max = {"cavity1": self.spec.n1_max, "cavity2": self.spec.n2_max}.get(subsystem)
+        if n_max is None:
             raise ValueError(f"unknown subsystem {subsystem!r}")
-        a = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in range(self.dim):
-            m, n1, n2 = self.labels(i)
-            if subsystem == "cavity1" and n1 > 0:
-                a[self.index(m, n1 - 1, n2), i] = np.sqrt(n1)
-            elif subsystem == "cavity2" and n2 > 0:
-                a[self.index(m, n1, n2 - 1), i] = np.sqrt(n2)
-        return a
+        lowering = np.diag(np.sqrt(np.arange(1, n_max + 1)), 1)
+        return self._kron(np.eye(3), **{subsystem: lowering})
 
     def number(self, subsystem: str) -> np.ndarray:
         a = self.annihilation(subsystem)
@@ -98,16 +107,15 @@ class HilbertSpace:
 
     def qutrit_op(self, to_level, from_level) -> np.ndarray:
         """|to><from| on the qutrit, tensored with identity on both cavities."""
-        op = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in range(self.dim):
-            m, n1, n2 = self.labels(i)
-            if m == (from_level if isinstance(from_level, str) else QUTRIT_LEVELS[from_level]):
-                op[self.index(to_level, n1, n2), i] = 1.0
-        return op
+        unit = np.zeros((3, 3))
+        unit[_level(to_level), _level(from_level)] = 1.0
+        return self._kron(unit)
 
     def qutrit_projector(self, *levels) -> np.ndarray:
         """Projector onto the given qutrit levels (all n1, n2)."""
-        return sum(self.qutrit_op(lv, lv) for lv in levels)
+        diag = np.zeros(3)
+        np.add.at(diag, [_level(lv) for lv in levels], 1.0)
+        return self._kron(np.diag(diag))
 
 
 def build_space(spec: HilbertSpec) -> HilbertSpace:

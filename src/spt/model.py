@@ -134,17 +134,13 @@ def hamiltonian_ideal(params: SystemParams, space: HilbertSpace) -> np.ndarray:
     return h
 
 
-def hamiltonian_finite_A(
-    params: SystemParams,
-    space: HilbertSpace,
-    residual_ratio: float = SQRT2,
-) -> np.ndarray:
+def hamiltonian_finite_A(params: SystemParams, space: HilbertSpace) -> np.ndarray:
     """Finite-anharmonicity Hamiltonian in the drive-rotating (dark-count) frame.
 
     Diagonal: (Delta + A) sigma_ee + (2 Delta + A) sigma_ff
               + (Delta + A + delta1) n1 + (Delta + delta2) n2.
     Adds to the resonant couplings the three residual couplings with
-    lower:upper matrix-element ratio 1:residual_ratio (default sqrt(2)).
+    fixed lower:upper matrix-element ratio 1:sqrt(2).
     """
     a_anh = params.anharmonicity
     if not math.isfinite(a_anh) or a_anh <= 0:
@@ -158,7 +154,6 @@ def hamiltonian_finite_A(
     s_ge = space.qutrit_op("g", "e")   # sigma_eg^-
     s_ef = space.qutrit_op("e", "f")   # sigma_fe^-
 
-    r = residual_ratio
     h = (
         (params.Delta + a_anh) * s_ee
         + (2 * params.Delta + a_anh) * s_ff
@@ -168,18 +163,18 @@ def hamiltonian_finite_A(
         + params.g2 * (a2.conj().T @ s_ef + s_ef.conj().T @ a2)
         + 0.5 * params.omega * (s_ef + s_ef.conj().T)
         # residual couplings opened by the finite anharmonicity
-        + r * params.g1 * (a1.conj().T @ s_ef + s_ef.conj().T @ a1)
-        + (params.g2 / r) * (a2.conj().T @ s_ge + s_ge.conj().T @ a2)
-        + (0.5 * params.omega / r) * (s_ge + s_ge.conj().T)
+        + SQRT2 * params.g1 * (a1.conj().T @ s_ef + s_ef.conj().T @ a1)
+        + (params.g2 / SQRT2) * (a2.conj().T @ s_ge + s_ge.conj().T @ a2)
+        + (0.5 * params.omega / SQRT2) * (s_ge + s_ge.conj().T)
     )
     if not is_hermitian(h):
         raise ValueError("hamiltonian_finite_A: H is not Hermitian")
     return h
 
 
-def residual_drive_element(params: SystemParams, residual_ratio: float = SQRT2) -> float:
-    """Matrix element of the residual g<->e drive, omega/(2*residual_ratio)."""
-    return 0.5 * params.omega / residual_ratio
+def residual_drive_element(params: SystemParams) -> float:
+    """Matrix element of the residual g<->e drive, omega/(2 sqrt(2))."""
+    return 0.5 * params.omega / SQRT2
 
 
 def collapse_set(

@@ -36,7 +36,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import DOP853
+# unused, kept while perfbench/tracer.py wraps it by name
+from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.optimize import brentq
 
 from .dynamics import PulseSpec, gaussian_pulse
@@ -62,8 +64,9 @@ def trajectory_rng(base_seed: int, index: int) -> np.random.Generator:
 class EigenPropagator:
     """Exact no-jump propagator exp(-i H_NH t) via eigendecomposition.
 
-    Valid for time-independent segments; callers fall back to ODE stepping if
-    the eigenbasis is ill-conditioned.
+    Valid for time-independent segments; when the eigenbasis is ill-conditioned
+    (``ok`` False) ``run_trajectory`` steps the segment with DOP853 instead, on
+    the replay ``PulsePath`` runs with no pulse source.
     """
 
     def __init__(self, h_nh: np.ndarray):
@@ -125,46 +128,54 @@ def _photon_port(collapses: CollapseSet, space: HilbertSpace | None, pulse: Puls
 
 
 class PulsePath:
-    """The no-jump state of a single-photon input up to its first click, shared.
+    """A no-jump state stepped once by DOP853, on which thresholds find their jump.
 
-    Before the first jump every trajectory of an ensemble follows the same
-    unnormalized state, d psi = -i H_NH psi - sqrt(kappa1) xi(t)|g,1,0> from
-    psi = 0 at t_start; each draws only its own threshold u on the total norm
-    ||psi||^2 + remaining_norm(t).  DOP853 (rtol 1e-10, atol 1e-12) steps this
-    state once, lazily, only as far as the thresholds asked so far reach, and
-    keeps each step's end-point norm and dense output.  ``crossing(u)`` then
-    replays solve_ivp's terminal event (direction -1) on those steps: the first
-    step whose norm falls through u, and brentq to 4 eps on its interpolant.
-    The steps never depend on u or on the dense output, so every jump time and
-    pre-jump state is bit for bit that of a solve_ivp run per trajectory.
+    For a single-photon input it is the pre-click state, shared by an ensemble:
+    before the first jump every trajectory follows the same unnormalized state,
+    d psi = -i H_NH psi - sqrt(kappa1) xi(t)|g,1,0> from psi = 0 at t_start, and
+    draws only its own threshold u on the total norm ||psi||^2 + remaining_norm(t).
+    With ``pulse`` None it is one time-independent segment whose eigenbasis is
+    ill-conditioned: d psi = -i H_NH psi from ``psi0``, the norm ||psi||^2.
+    DOP853 (rtol 1e-10, atol 1e-12) steps this state once, lazily, only as far
+    as the thresholds asked so far reach, and keeps each step's end-point norm
+    and dense output.  ``crossing(u)`` then replays solve_ivp's terminal event
+    (direction -1) on those steps: the first step whose norm falls through u,
+    and brentq to 4 eps on its interpolant.  The steps never depend on u or on
+    the dense output, so every jump time and pre-jump state is bit for bit that
+    of a solve_ivp event run of its own.
 
     Set-up is deferred to the first query, so building one cannot fail (in a
     pool initializer an exception would restart the workers without end);
     ``run_trajectory`` checks the input first.
     """
 
-    def __init__(self, h_nh: np.ndarray, collapses: CollapseSet, space: HilbertSpace,
-                 pulse: PulseSpec, t_start: float, t_end: float):
+    def __init__(self, h_nh: np.ndarray, collapses: CollapseSet, space: HilbertSpace | None,
+                 pulse: PulseSpec | None, t_start: float, t_end: float,
+                 psi0: np.ndarray | None = None):
         self.h_nh, self.collapses, self.space, self.pulse = h_nh, collapses, space, pulse
         self.t_start, self.t_end = float(t_start), float(t_end)
+        self.psi0 = psi0
         self._solver = None
         self._norms: list = []       # event base at t_start and at the end of each step
         self._steps: list = []       # (t_old, t, dense output) of each step
 
     def _norm(self, t, y) -> float:
         # operand order of the per-trajectory event, q = 1 before the first click
-        return float(np.real(np.vdot(y, y))) + self.pulse.remaining_norm(t)
+        n = float(np.real(np.vdot(y, y)))
+        return n if self.pulse is None else n + self.pulse.remaining_norm(t)
 
     def _start(self) -> None:
         h_nh, pulse = self.h_nh, self.pulse
-        sqrt_k1, i_g10, _ = _photon_port(self.collapses, self.space, pulse)
+        if pulse is not None:
+            sqrt_k1, i_g10, _ = _photon_port(self.collapses, self.space, pulse)
 
         def rhs(tt, y):
             dy = -1j * (h_nh @ y)
-            dy[i_g10] -= sqrt_k1 * float(gaussian_pulse(pulse, tt))
+            if pulse is not None:
+                dy[i_g10] -= sqrt_k1 * float(gaussian_pulse(pulse, tt))
             return dy
 
-        y0 = np.zeros(self.space.dim, dtype=complex)
+        y0 = np.zeros(len(h_nh), dtype=complex) if self.psi0 is None else self.psi0
         self._solver = DOP853(rhs, self.t_start, y0, self.t_end, rtol=1e-10, atol=1e-12)
         self._norms.append(self._norm(self.t_start, y0))
 
@@ -331,8 +342,7 @@ def run_trajectory(
     prop = propagator
     if prop is None:
         prop = EigenPropagator(h_nh)
-    use_eigen = prop.ok
-    if not use_eigen:
+    if not prop.ok:
         warnings.warn("ill-conditioned eigendecomposition: using ODE stepping", stacklevel=2)
 
     jumps: list = []
@@ -365,23 +375,20 @@ def run_trajectory(
             break
         u = rng.random() * start_norm
 
-        if q > 0 and pulse.remaining_norm(t) > _PULSE_TAIL_CUTOFF:
-            # time-dependent source: the shared path until the norm falls through u
-            t_jump, psi_pre, crossed = pulse_path.crossing(u)
-            if crossed:
-                new = do_jump(psi_pre, q, t_jump)
-                if new is None:
-                    raise RuntimeError("norm threshold crossed with zero jump rate")
-                psi, q, t = new, 0.0, t_jump
-                continue
-            psi = psi_pre
-            if total_norm_sq(psi, q, t_end) > start_norm + 1e-4:
-                raise RuntimeError("norm accounting drift exceeds 1e-4 during the pulse")
-            t = t_end
-            break
-
-        # time-independent segment: exact eigen propagation
-        if use_eigen:
+        in_pulse = q > 0 and pulse.remaining_norm(t) > _PULSE_TAIL_CUTOFF
+        if in_pulse or not prop.ok:
+            # DOP853 until the norm falls through u: the shared path under the
+            # time-dependent source, or this segment's own with no source
+            path = pulse_path if in_pulse else PulsePath(h_nh, collapses, space, None, t, t_end,
+                                                         psi0=psi)
+            t_jump, psi_pre, crossed = path.crossing(u)
+            if not crossed:
+                psi, t = psi_pre, t_end
+                if in_pulse and total_norm_sq(psi, q, t) > start_norm + 1e-4:
+                    raise RuntimeError("norm accounting drift exceeds 1e-4 during the pulse")
+                break
+        else:
+            # time-independent segment: exact eigen propagation
             z0 = prop.coeffs(psi)
             remaining = t_end - t
             stats["norm_evals"] += 1
@@ -392,29 +399,16 @@ def run_trajectory(
             elapsed = _jump_time(prop, z0, remaining, u, stats)
             t_jump = t + elapsed
             psi_pre = prop.state(z0, elapsed)
-        else:
-            def event(tt, y):
-                return float(np.real(np.vdot(y, y))) - u
-
-            event.terminal = True
-            event.direction = -1
-            sol = solve_ivp(lambda _tt, y: -1j * (h_nh @ y), (t, t_end), psi,
-                            method="DOP853", rtol=1e-10, atol=1e-12, events=event)
-            if not sol.success:
-                raise RuntimeError(f"trajectory integration failed: {sol.message}")
-            if not sol.t_events[0].size:
-                psi = sol.y[:, -1]
-                t = t_end
-                break
-            t_jump = float(sol.t_events[0][0])
-            psi_pre = sol.y_events[0][0]
 
         new = do_jump(psi_pre, q, t_jump)
         if new is None:
+            if in_pulse:
+                raise RuntimeError("norm threshold crossed with zero jump rate")
             # stationary dark state: nothing can ever jump again
             t = t_end
             break
-        psi, t = new, t_jump
+        # every collapse operator annihilates the ground state: a click resolves the photon
+        psi, q, t = new, 0.0, t_jump
 
     counts: dict = {}
     for _, lab in jumps:

@@ -14,14 +14,8 @@ class TestGridParsing:
         g = parse_grid("log:0.01:1:3")
         assert np.allclose(g, [0.01, 0.1, 1.0])
 
-    def test_bare_log_autocenter(self):
-        g = parse_grid("log", auto_center=0.1)
-        assert g[0] == pytest.approx(0.01)
-        assert g[-1] == pytest.approx(1.0)
-        assert len(g) == 41
-
     def test_bad_grids(self):
-        for bad in ("1:2", "a:b:c", "log:-1:2:5", "1:2:0"):
+        for bad in ("1:2", "a:b:c", "log:-1:2:5", "1:2:0", "log"):
             with pytest.raises(ConfigError):
                 parse_grid(bad)
 
@@ -134,6 +128,19 @@ class TestExperiments:
             # numeric tracks the closed form away from the dip
             assert float(r[1]) == pytest.approx(float(r[2]), abs=0.05)
 
+    def test_reflection_bare_log_grid(self, tmp_path):
+        # the default --kappa1-grid: 41 points, two decades around Gamma_set
+        out = tmp_path / "refl.csv"
+        assert main(["reflection", "--kappa1-grid", "log", "--n2", "2",
+                     "--n2-reflection", "1", "-o", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        gamma_set = float(next(ln for ln in lines if ln.startswith("# gamma_set="))
+                          .partition("=")[2])
+        rows = [ln for ln in lines if ln and not ln.startswith("#")][1:]
+        kappa1 = [float(row.split(",")[0]) for row in rows]
+        assert kappa1 == pytest.approx(np.geomspace(gamma_set / 10, 10 * gamma_set, 41),
+                                       rel=1e-11)
+
     def test_gain_sweep(self, tmp_path):
         out = tmp_path / "gain.csv"
         rc = main(["gain", "--sweep", "g1", "0.15:0.3:2", "--kappa2", "1",
@@ -160,6 +167,14 @@ class TestExperiments:
         t_in_peak = ts.times[np.argmax(ts.channels["I_in1"])]
         t_out_peak = ts.times[np.argmax(ts.channels["I_out2"])]
         assert t_out_peak > t_in_peak
+
+    def test_pulse_response_stdout_equals_file(self, tmp_path, capsys):
+        args = ["pulse-response", "--g1", "0.25", "--points", "5", "--n2", "3"]
+        out = tmp_path / "wave.csv"
+        assert main(args + ["-o", str(out)]) == 0
+        capsys.readouterr()
+        assert main(args + ["-o", "-"]) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
     def test_dark_counts_sweep(self, tmp_path):
         out = tmp_path / "dark.csv"

@@ -49,6 +49,23 @@ class TestPulse:
         assert spec.remaining_norm(40.0) == pytest.approx(0.0, abs=1e-12)
 
 
+def _rk4_propagate(lv, y0, t_grid, step):
+    """Classic fixed-step RK4 of dy/dt = lv @ y, substeps of at most ``step`` between
+    grid points: an integrator independent of lindblad_propagate's DOP853."""
+    ys, y = [y0], y0
+    for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
+        n_sub = max(1, int(np.ceil((t1 - t0) / step)))
+        ht = (t1 - t0) / n_sub
+        for _ in range(n_sub):
+            k1 = lv @ y
+            k2 = lv @ (y + 0.5 * ht * k1)
+            k3 = lv @ (y + 0.5 * ht * k2)
+            k4 = lv @ (y + ht * k3)
+            y = y + (ht / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        ys.append(y)
+    return np.array(ys).T
+
+
 class TestLindblad:
     def test_exponential_decay(self):
         space = build_space(HilbertSpec(1, 1))
@@ -109,7 +126,7 @@ class TestLindblad:
             assert abs(np.trace(rho).real - 1) < 1e-6
             assert np.linalg.eigvalsh(rho).min() > -1e-8
 
-    def test_fixed_step_reproducible(self):
+    def test_reproducible_and_equal_to_fixed_step_rk4(self):
         space = build_space(HilbertSpec(0, 2))
         p = SystemParams(g1=0, g2=1, omega=1, kappa2=0.5)
         h = hamiltonian_ideal(p, space)
@@ -117,9 +134,12 @@ class TestLindblad:
         psi = space.basis_state("f", 0, 0)
         rho0 = np.outer(psi, psi.conj())
         t = np.linspace(0, 5, 11)
-        _, r1 = lindblad_propagate(h, cols, rho0, t, fixed_step=0.01)
-        _, r2 = lindblad_propagate(h, cols, rho0, t, fixed_step=0.01)
+        _, r1 = lindblad_propagate(h, cols, rho0, t)
+        _, r2 = lindblad_propagate(h, cols, rho0, t)
         assert np.array_equal(r1, r2)
+        rk4 = _rk4_propagate(liouvillian(h, cols), rho0.reshape(-1).astype(complex), t, 0.01)
+        final = rk4[:, -1].reshape(space.dim, space.dim)
+        assert np.abs(r1 - 0.5 * (final + final.conj().T)).max() < 1e-8
 
     def test_top_layer_warning(self):
         space = build_space(HilbertSpec(0, 1))

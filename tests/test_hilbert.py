@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spt.hilbert import HilbertSpec, build_space, is_hermitian
+from spt.hilbert import QUTRIT_LEVELS, HilbertSpec, build_space, is_hermitian
 
 
 def test_dimensions():
@@ -79,3 +79,79 @@ def test_projector_completeness_and_adjoints():
         diag = np.diag(n).real
         assert np.allclose(diag, np.round(diag))
         assert diag.min() >= 0
+
+
+# -- the label-loop builders the Kronecker products replaced: bitwise oracles ----
+
+def _loop_annihilation(space, subsystem):
+    a = np.zeros((space.dim, space.dim), dtype=complex)
+    for i in range(space.dim):
+        m, n1, n2 = space.labels(i)
+        if subsystem == "cavity1" and n1 > 0:
+            a[space.index(m, n1 - 1, n2), i] = np.sqrt(n1)
+        elif subsystem == "cavity2" and n2 > 0:
+            a[space.index(m, n1, n2 - 1), i] = np.sqrt(n2)
+    return a
+
+
+def _loop_qutrit_op(space, to_level, from_level):
+    op = np.zeros((space.dim, space.dim), dtype=complex)
+    for i in range(space.dim):
+        m, n1, n2 = space.labels(i)
+        if m == (from_level if isinstance(from_level, str) else QUTRIT_LEVELS[from_level]):
+            op[space.index(to_level, n1, n2), i] = 1.0
+    return op
+
+
+def _loop_top_layer_projectors(space):
+    top1 = np.zeros(space.dim)
+    top2 = np.zeros(space.dim)
+    for i in range(space.dim):
+        _, n1, n2 = space.labels(i)
+        if n1 == space.spec.n1_max and space.spec.n1_max > 0:
+            top1[i] = 1.0
+        if n2 == space.spec.n2_max and space.spec.n2_max > 0:
+            top2[i] = 1.0
+    return top1, top2
+
+
+_TRUNCATIONS = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (0, 5), (1, 10), (2, 8), (2, 16), (4, 16)]
+
+
+def _bitwise_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n1, n2", _TRUNCATIONS)
+def test_kronecker_operators_equal_label_loops(n1, n2):
+    from spt.dynamics import _top_layer_projectors
+
+    space = build_space(HilbertSpec(n1, n2))
+    for sub in ("cavity1", "cavity2"):
+        assert _bitwise_equal(space.annihilation(sub), _loop_annihilation(space, sub))
+    for to_level in (*QUTRIT_LEVELS, 0, 1, 2):
+        for from_level in (*QUTRIT_LEVELS, 0, 1, 2):
+            assert _bitwise_equal(space.qutrit_op(to_level, from_level),
+                                  _loop_qutrit_op(space, to_level, from_level))
+    for levels in (("g",), ("e", "f"), ("g", "e", "f"), (0, 2), ("e", "e")):
+        oracle = sum(_loop_qutrit_op(space, lv, lv) for lv in levels)
+        assert _bitwise_equal(space.qutrit_projector(*levels), oracle)
+    for fast, oracle in zip(_top_layer_projectors(space), _loop_top_layer_projectors(space)):
+        assert _bitwise_equal(fast, oracle)
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: s.qutrit_op("g", "x"),
+    lambda s: s.qutrit_op("g", -1),
+    lambda s: s.qutrit_op(3, "g"),
+    lambda s: s.qutrit_op("G", "g"),
+    lambda s: s.qutrit_op("g", 1.0),
+    lambda s: s.qutrit_projector("g", "h"),
+    lambda s: s.index("x", 0, 0),
+    lambda s: s.index(-1, 0, 0),
+    lambda s: s.basis_state("ground"),
+], ids=["op-to-name", "op-negative", "op-three", "op-case", "op-float", "projector",
+        "index-name", "index-negative", "basis-state"])
+def test_bad_qutrit_level_is_value_error(call):
+    with pytest.raises(ValueError, match="qutrit level"):
+        call(build_space(HilbertSpec(1, 1)))

@@ -183,30 +183,44 @@ class TestJumpTimeSearch:
 
 
 class _SolveIvpPath:
-    """The oracle: the in-pulse step as one solve_ivp per trajectory, from psi = 0
-    at t_start, with a terminal norm-threshold event."""
+    """The oracle: one solve_ivp per crossing, with a terminal norm-threshold event.
 
-    def __init__(self, h_nh, collapses, space, pulse, t_start, t_end):
+    With a pulse it is the in-pulse step of one trajectory, from psi = 0 at
+    t_start; with ``pulse`` None it is the source-free segment from ``psi0`` that
+    an ill-conditioned eigenbasis falls back to, its event on ||psi||^2 alone.
+    """
+
+    def __init__(self, h_nh, collapses, space, pulse, t_start, t_end, psi0=None):
         self.h_nh, self.pulse = h_nh, pulse
         self.t_start, self.t_end = float(t_start), float(t_end)
-        g10 = space.basis_state("g", 1, 0)
-        self.sqrt_k1 = float(np.linalg.norm(collapses.get("kappa1") @ g10))
-        self.i_g10 = int(np.argmax(np.abs(g10)))
+        self.psi0 = np.zeros(h_nh.shape[0], dtype=complex) if psi0 is None else psi0
+        if pulse is not None:
+            g10 = space.basis_state("g", 1, 0)
+            self.sqrt_k1 = float(np.linalg.norm(collapses.get("kappa1") @ g10))
+            self.i_g10 = int(np.argmax(np.abs(g10)))
 
     def crossing(self, u):
-        h_nh, pulse, sqrt_k1, i_g10, q = self.h_nh, self.pulse, self.sqrt_k1, self.i_g10, 1.0
+        h_nh, pulse = self.h_nh, self.pulse
+        if pulse is None:
+            def rhs(_tt, y):
+                return -1j * (h_nh @ y)
 
-        def rhs(tt, y):
-            dy = -1j * (h_nh @ y)
-            dy[i_g10] -= sqrt_k1 * q * float(gaussian_pulse(pulse, tt))
-            return dy
+            def event(tt, y):
+                return float(np.real(np.vdot(y, y))) - u
+        else:
+            sqrt_k1, i_g10, q = self.sqrt_k1, self.i_g10, 1.0
 
-        def event(tt, y):
-            return float(np.real(np.vdot(y, y))) + q * q * pulse.remaining_norm(tt) - u
+            def rhs(tt, y):
+                dy = -1j * (h_nh @ y)
+                dy[i_g10] -= sqrt_k1 * q * float(gaussian_pulse(pulse, tt))
+                return dy
+
+            def event(tt, y):
+                return float(np.real(np.vdot(y, y))) + q * q * pulse.remaining_norm(tt) - u
 
         event.terminal = True
         event.direction = -1
-        sol = solve_ivp(rhs, (self.t_start, self.t_end), np.zeros(h_nh.shape[0], dtype=complex),
+        sol = solve_ivp(rhs, (self.t_start, self.t_end), self.psi0,
                         method="DOP853", rtol=1e-10, atol=1e-12, events=event)
         assert sol.success
         if sol.t_events[0].size:
@@ -288,6 +302,63 @@ class TestPulsePath:
         with pytest.raises(ValueError, match="another time interval"):
             run_trajectory(h_nh, cols, init, duration, (1, 0), pulse=pulse, space=space,
                            t_start=1.0, pulse_path=path)
+
+
+def _pulse_input_short():
+    space, cols, h_nh, init, duration, _, pulse = _pulse_input()
+    return space, cols, h_nh, init, duration - 300.0, 3, pulse
+
+
+# the _SEARCH_CASES cut short, since DOP853 steps every segment: one A = 40
+# dark-count trajectory over 1500 takes about 24 s, at A = 10 over 100 about 0.7 s
+_FALLBACK_CASES = {
+    "e00": lambda: (*_ideal(HilbertSpec(2, 8)), "e,0,0", 150.0, 3, None),
+    "custom": lambda: (*_custom_state(), 200.0, 4, None),
+    "pulse-input": _pulse_input_short,
+    "dark-finite-A": lambda: (*_finite_a(10.0), "g,0,0", 100.0, 2, None),
+}
+
+
+class TestIllConditionedFallback:
+    """With ``EigenPropagator.ok`` False every time-independent segment is stepped
+    by DOP853 through a source-free ``PulsePath``, and gets the jumps of the
+    per-segment solve_ivp event search it replaced, bit for bit."""
+
+    @pytest.fixture
+    def ill_conditioned(self, monkeypatch):
+        init = EigenPropagator.__init__
+
+        def forced(self, h_nh):
+            init(self, h_nh)
+            self.ok = False
+
+        monkeypatch.setattr(EigenPropagator, "__init__", forced)
+
+    @pytest.mark.parametrize("name", sorted(_FALLBACK_CASES))
+    def test_jumps_equal_solve_ivp_per_segment(self, name, ill_conditioned, monkeypatch):
+        space, cols, h_nh, init, duration, n_traj, pulse = _FALLBACK_CASES[name]()
+
+        def ensemble(seed):
+            with pytest.warns(UserWarning, match="ill-conditioned eigendecomposition"):
+                return run_ensemble(h_nh, cols, init, duration, n_traj, seed, pulse=pulse,
+                                    space=space, threads=1)
+
+        for seed in (3, 17):
+            fast = ensemble(seed)
+            with monkeypatch.context() as m:
+                m.setattr(mc, "PulsePath", _SolveIvpPath)
+                oracle = ensemble(seed)
+            assert [t.jumps for t in fast] == [t.jumps for t in oracle]
+            assert ([t.final_norm_accounting for t in fast]
+                    == [t.final_norm_accounting for t in oracle])
+            assert sum(len(t.jumps) for t in fast) > 0
+            assert sum(t.norm_evals for t in fast) == 0   # the eigenbasis is never used
+
+    def test_custom_state_without_space(self, ill_conditioned):
+        space, cols, h_nh, psi, duration, _, _ = _FALLBACK_CASES["custom"]()
+        with pytest.warns(UserWarning, match="ill-conditioned eigendecomposition"):
+            tr = run_trajectory(h_nh, cols, psi, duration, (5, 0))
+        assert tr.initial_state_label == "custom" and tr.jumps
 
 
 class TestCountStatistics:
