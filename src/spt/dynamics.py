@@ -290,18 +290,17 @@ def lindblad_propagate(
 
 def steady_state_reflection(
     params: SystemParams,
-    drive_amp: float | None = None,
     spec: HilbertSpec = HilbertSpec(2, 8),
     decoherence: DecoherenceParams | None = None,
 ) -> float:
     """|r1|^2 at the input port for a weak cw coherent drive.
 
-    The drive enters as H_d = drive_amp (a1^dag + a1); with the input-output
+    The drive enters as H_d = eps (a1^dag + a1); with the input-output
     convention a_out = -a_in + sqrt(kappa1) a1 the matching input amplitude is
-    a_in = -i drive_amp / sqrt(kappa1), so an empty cavity reflects unity.
-    The drive is halved automatically until the steady cavity-1 occupation is
-    below 1e-2 (linear-response regime); the default amplitude sits well below
-    that bound so the n1 truncation error stays negligible.
+    a_in = -i eps / sqrt(kappa1), so an empty cavity reflects unity.  The drive
+    starts at eps = 0.01 kappa1, well inside the linear-response regime so the
+    n1 truncation error stays negligible, and is halved until the steady
+    cavity-1 occupation is below 1e-2.
     """
     if params.kappa1 <= 0:
         raise ValueError("steady_state_reflection requires kappa1 > 0")
@@ -311,7 +310,7 @@ def steady_state_reflection(
     a1 = space.annihilation("cavity1")
     n1 = a1.conj().T @ a1
 
-    amp = drive_amp if drive_amp is not None else 0.01 * params.kappa1
+    amp = 0.01 * params.kappa1
     for _ in range(40):
         lv = liouvillian(h0 + amp * (a1 + a1.conj().T), cols)
         rho = steady_state(lv, space.dim)

@@ -26,12 +26,10 @@ class SingularEliminationError(RuntimeError):
 @dataclass
 class EffectiveJump:
     matrix: np.ndarray          # L_eff, shape (n_out, n_ground)
-    source_label: str
-    target_labels: list
 
-    def rate(self, source_col: int = 0) -> float:
-        """<src| L_eff^dag L_eff |src> for one ground-state source column."""
-        col = self.matrix[:, source_col]
+    def rate(self) -> float:
+        """<src| L_eff^dag L_eff |src> for the first ground-state source column."""
+        col = self.matrix[:, 0]
         return float(np.real(np.vdot(col, col)))
 
 
@@ -51,8 +49,6 @@ def effective_jump(
     c: np.ndarray,
     h_nh: np.ndarray,
     v_plus: np.ndarray,
-    source_label: str = "",
-    target_labels: list | None = None,
 ) -> EffectiveJump:
     """L_eff = C H_NH^{-1} V+ via a linear solve (no explicit inverse).
 
@@ -77,8 +73,7 @@ def effective_jump(
         raise SingularEliminationError(
             f"elimination solve residual {resid / scale:.3g} exceeds 1e-10 (cond={cond:.3g})"
         )
-    return EffectiveJump(matrix=c @ x, source_label=source_label,
-                         target_labels=target_labels or [])
+    return EffectiveJump(matrix=c @ x)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +130,7 @@ def setting_rate(params: SystemParams, n2_trunc: int = 10) -> RateResult:
         h, c, idx = _excited_block_nh(params, n2t)
         v = np.zeros((h.shape[0], 1), dtype=complex)
         v[idx("e", 0), 0] = params.g1
-        jump = effective_jump(c, h, v, source_label="|g,1,0>")
-        return jump.rate()
+        return effective_jump(c, h, v).rate()
 
     value = rate_at(n2_trunc)
     delta = value - rate_at(n2_trunc - 1) if n2_trunc >= 2 else math.nan
@@ -258,10 +252,8 @@ def dark_rates_steady(params: SystemParams, extended_space: bool = False) -> Dar
     c_g_e = cols.get("kappa2_G")[:, elim_idx]   # full-space rows, eliminated columns
     c_e_e = cols.get("kappa2_E")[:, elim_idx]
 
-    jump_g = effective_jump(c_g_e, h_e, v, source_label="|g,0,0>",
-                            target_labels=[("g", 0, 0)])
-    jump_e = effective_jump(c_e_e, h_e, v, source_label="|g,0,0>",
-                            target_labels=[("e", 0, 0), ("f", 0, 0)])
+    jump_g = effective_jump(c_g_e, h_e, v)    # onto |g,0,0>
+    jump_e = effective_jump(c_e_e, h_e, v)    # onto |e,0,0> and |f,0,0>
 
     i_g00 = space.index("g", 0, 0)
     i_e00 = space.index("e", 0, 0)

@@ -33,7 +33,7 @@ import math
 import os
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import DOP853
@@ -128,7 +128,7 @@ def _photon_port(collapses: CollapseSet, space: HilbertSpace | None, pulse: Puls
 
 
 class PulsePath:
-    """A no-jump state stepped once by DOP853, on which thresholds find their jump.
+    """A no-jump state stepped by DOP853, on which thresholds find their jump.
 
     For a single-photon input it is the pre-click state, shared by an ensemble:
     before the first jump every trajectory follows the same unnormalized state,
@@ -136,38 +136,24 @@ class PulsePath:
     draws only its own threshold u on the total norm ||psi||^2 + remaining_norm(t).
     With ``pulse`` None it is one time-independent segment whose eigenbasis is
     ill-conditioned: d psi = -i H_NH psi from ``psi0``, the norm ||psi||^2.
-    DOP853 (rtol 1e-10, atol 1e-12) steps this state once, lazily, only as far
-    as the thresholds asked so far reach, and keeps each step's end-point norm
-    and dense output.  ``crossing(u)`` then replays solve_ivp's terminal event
-    (direction -1) on those steps: the first step whose norm falls through u,
-    and brentq to 4 eps on its interpolant.  The steps never depend on u or on
-    the dense output, so every jump time and pre-jump state is bit for bit that
-    of a solve_ivp event run of its own.
-
-    Set-up is deferred to the first query, so building one cannot fail (in a
-    pool initializer an exception would restart the workers without end);
-    ``run_trajectory`` checks the input first.
+    The input is checked and the DOP853 solver (rtol 1e-10, atol 1e-12) is set
+    up here, so a bad input raises where the path is built: an ensemble builds
+    its path once, in the calling process, and pool workers inherit it.  The
+    solver then steps only as far as the thresholds asked so far reach, keeping
+    each step's end-point norm and dense output.  ``crossing(u)`` replays
+    solve_ivp's terminal event (direction -1) on those steps: the first step
+    whose norm falls through u, and brentq to 4 eps on its interpolant.  The
+    steps never depend on u or on the dense output, so every jump time and
+    pre-jump state is bit for bit that of a solve_ivp event run of its own.
     """
 
     def __init__(self, h_nh: np.ndarray, collapses: CollapseSet, space: HilbertSpace | None,
                  pulse: PulseSpec | None, t_start: float, t_end: float,
                  psi0: np.ndarray | None = None):
-        self.h_nh, self.collapses, self.space, self.pulse = h_nh, collapses, space, pulse
+        self.pulse = pulse
         self.t_start, self.t_end = float(t_start), float(t_end)
-        self.psi0 = psi0
-        self._solver = None
-        self._norms: list = []       # event base at t_start and at the end of each step
-        self._steps: list = []       # (t_old, t, dense output) of each step
-
-    def _norm(self, t, y) -> float:
-        # operand order of the per-trajectory event, q = 1 before the first click
-        n = float(np.real(np.vdot(y, y)))
-        return n if self.pulse is None else n + self.pulse.remaining_norm(t)
-
-    def _start(self) -> None:
-        h_nh, pulse = self.h_nh, self.pulse
         if pulse is not None:
-            sqrt_k1, i_g10, _ = _photon_port(self.collapses, self.space, pulse)
+            sqrt_k1, i_g10, _ = _photon_port(collapses, space, pulse)
 
         def rhs(tt, y):
             dy = -1j * (h_nh @ y)
@@ -175,9 +161,15 @@ class PulsePath:
                 dy[i_g10] -= sqrt_k1 * float(gaussian_pulse(pulse, tt))
             return dy
 
-        y0 = np.zeros(len(h_nh), dtype=complex) if self.psi0 is None else self.psi0
+        y0 = np.zeros(len(h_nh), dtype=complex) if psi0 is None else psi0
         self._solver = DOP853(rhs, self.t_start, y0, self.t_end, rtol=1e-10, atol=1e-12)
-        self._norms.append(self._norm(self.t_start, y0))
+        self._norms = [self._norm(self.t_start, y0)]   # event base at t_start and each step end
+        self._steps: list = []                          # (t_old, t, dense output) of each step
+
+    def _norm(self, t, y) -> float:
+        # operand order of the per-trajectory event, q = 1 before the first click
+        n = float(np.real(np.vdot(y, y)))
+        return n if self.pulse is None else n + self.pulse.remaining_norm(t)
 
     def _step(self) -> None:
         solver = self._solver
@@ -190,8 +182,6 @@ class PulsePath:
     def crossing(self, u: float):
         """(time, state, True) where the norm first falls through u, the state
         the pre-jump one; (t_end, final state, False) when it never does."""
-        if self._solver is None:
-            self._start()
         k = 0
         while True:
             if k + 1 == len(self._norms):
@@ -213,7 +203,6 @@ class Trajectory:
     duration: float
     seed: tuple
     final_norm_accounting: float     # total squared norm at the last event
-    channel_counts: dict = field(default_factory=dict)
     norm_evals: int = 0              # EigenPropagator.norm_sq calls
     newton_steps: int = 0            # Gram-matrix steps of the jump-time root search
     search_fallbacks: int = 0        # searches that evaluated every bisection midpoint
@@ -280,11 +269,11 @@ def _jump_time(prop: EigenPropagator, z0: np.ndarray, span: float, u: float,
 def _parse_init(init, space: HilbertSpace):
     if isinstance(init, np.ndarray):
         return init.astype(complex), "custom"
-    if isinstance(init, str) and init != "single-photon-input":
-        parts = init.replace("|", "").replace(">", "").split(",")
-        m, n1, n2 = parts[0].strip(), int(parts[1]), int(parts[2])
-        return space.basis_state(m, n1, n2), f"|{m},{n1},{n2}>"
-    raise ValueError(f"cannot interpret initial state {init!r}")
+    parts = init.replace("|", "").replace(">", "").split(",") if isinstance(init, str) else []
+    if len(parts) != 3:
+        raise ValueError(f"cannot interpret initial state {init!r}")
+    m, n1, n2 = parts[0].strip(), int(parts[1]), int(parts[2])
+    return space.basis_state(m, n1, n2), f"|{m},{n1},{n2}>"
 
 
 def run_trajectory(
@@ -296,7 +285,6 @@ def run_trajectory(
     pulse: PulseSpec | None = None,
     space: HilbertSpace | None = None,
     propagator: EigenPropagator | None = None,
-    t_start: float = 0.0,
     on_jump=None,
     pulse_path: PulsePath | None = None,
 ) -> Trajectory:
@@ -308,8 +296,8 @@ def run_trajectory(
     given, sees each jump with its normalized post-jump state.
     ``pulse_path``, for a single-photon input, is the pre-click path shared by
     the trajectories of one ensemble: it must be built from the same H_NH,
-    collapses, space and pulse over [t_start, t_start + duration].  One is
-    built when none is given.
+    collapses, space and pulse over [0, duration].  One is built when none is
+    given.
     """
     if isinstance(seed, tuple):
         rng = trajectory_rng(*seed)
@@ -321,14 +309,13 @@ def run_trajectory(
     labels = collapses.labels()
     mats = collapses.matrices()
 
-    t = t_start
-    t_end = t_start + duration
+    t, t_end = 0.0, float(duration)
     pulse_mode = isinstance(init, str) and init == "single-photon-input"
     if pulse_mode:
         _, _, g00 = _photon_port(collapses, space, pulse)
         if pulse_path is None:
             pulse_path = PulsePath(h_nh, collapses, space, pulse, t, t_end)
-        elif (pulse_path.t_start, pulse_path.t_end) != (float(t), float(t_end)):
+        elif (pulse_path.t_start, pulse_path.t_end) != (t, t_end):
             raise ValueError("pulse_path spans another time interval")
         psi = np.zeros(space.dim, dtype=complex)
         init_label = "single-photon-input"
@@ -410,16 +397,12 @@ def run_trajectory(
         # every collapse operator annihilates the ground state: a click resolves the photon
         psi, q, t = new, 0.0, t_jump
 
-    counts: dict = {}
-    for _, lab in jumps:
-        counts[lab] = counts.get(lab, 0) + 1
     return Trajectory(
         jumps=jumps,
         initial_state_label=init_label,
         duration=duration,
         seed=seed_rec,
         final_norm_accounting=total_norm_sq(psi, q, t),
-        channel_counts=counts,
         **stats,
     )
 
@@ -428,25 +411,15 @@ def run_trajectory(
 # ensembles
 # ---------------------------------------------------------------------------
 
-_WORKER = {}
-
-
-def _ensemble_init(h_nh, collapses, duration, pulse, space, base_seed, init, t_start):
-    _WORKER.update(
-        h_nh=h_nh, collapses=collapses, duration=duration, pulse=pulse,
-        space=space, base_seed=base_seed, init=init, t_start=t_start,
-        prop=EigenPropagator(h_nh),
-        pulse_path=PulsePath(h_nh, collapses, space, pulse, t_start, t_start + duration),
-    )
+_ENSEMBLE: dict = {}
 
 
 def _ensemble_one(index: int, on_jump=None) -> Trajectory:
-    w = _WORKER
+    e = _ENSEMBLE
     return run_trajectory(
-        w["h_nh"], w["collapses"], w["init"], w["duration"],
-        (w["base_seed"], index), pulse=w["pulse"], space=w["space"],
-        propagator=w["prop"], t_start=w["t_start"], on_jump=on_jump,
-        pulse_path=w["pulse_path"],
+        e["h_nh"], e["collapses"], e["init"], e["duration"], (e["base_seed"], index),
+        pulse=e["pulse"], space=e["space"], propagator=e["prop"], on_jump=on_jump,
+        pulse_path=e["pulse_path"],
     )
 
 
@@ -460,33 +433,44 @@ def run_ensemble(
     pulse: PulseSpec | None = None,
     space: HilbertSpace | None = None,
     threads: int | None = None,
-    t_start: float = 0.0,
 ) -> list:
     """Independent trajectories indexed 0..n_traj-1; order-stable aggregation."""
-    return _map_ensemble(_ensemble_one, n_traj, threads,
-                         (h_nh, collapses, duration, pulse, space, base_seed, init, t_start))
+    return _map_ensemble(_ensemble_one, n_traj, threads, h_nh=h_nh, collapses=collapses,
+                         init=init, duration=duration, pulse=pulse, space=space,
+                         base_seed=base_seed)
 
 
-def _map_ensemble(fn, n_traj: int, threads: int | None, init_args: tuple) -> list:
-    """[fn(0), ..., fn(n_traj - 1)] over the worker state set by _ensemble_init.
+def _map_ensemble(fn, n_traj: int, threads: int | None, **state) -> list:
+    """[fn(0), ..., fn(n_traj - 1)] over one ensemble's state.
 
-    Runs in the calling process, or over a fork pool of ``threads`` workers
-    (default: the CPU count, at most 8); results come back in index order.
+    ``state`` holds the run_trajectory inputs and the base seed.  The
+    eigenbasis of H_NH and, for a single-photon input, the shared ``PulsePath``
+    are built once, here in the calling process, so a bad input raises here.
+    The trajectories then run in this process, or over a fork pool of
+    ``threads`` workers (default: the CPU count, at most 8) that inherit the
+    state; results come back in index order.
     """
+    duration, init, h_nh = state["duration"], state["init"], state["h_nh"]
+    if n_traj < 1 or not (math.isfinite(duration) and duration > 0):
+        raise ValueError("an ensemble needs n_traj >= 1 and a finite duration > 0, "
+                         f"got n_traj={n_traj}, duration={duration}")
+    pulse_path = None
+    if isinstance(init, str) and init == "single-photon-input":
+        pulse_path = PulsePath(h_nh, state["collapses"], state["space"], state["pulse"],
+                               0.0, duration)
+    _ENSEMBLE.update(state, prop=EigenPropagator(h_nh), pulse_path=pulse_path)
     threads = threads if threads is not None else min(os.cpu_count() or 1, 8)
-    if threads <= 1 or n_traj < 8:
-        _ensemble_init(*init_args)
-        try:
+    try:
+        if threads <= 1 or n_traj < 8:
             return [fn(i) for i in range(n_traj)]
-        finally:
-            # the pulse path keeps hundreds of interpolants: free them before the
-            # caller's next allocations, not at the next ensemble
-            _WORKER.clear()
-    import multiprocessing as mp
+        import multiprocessing as mp
 
-    with mp.get_context("fork").Pool(threads, initializer=_ensemble_init,
-                                     initargs=init_args) as pool:
-        return pool.map(fn, range(n_traj), chunksize=max(1, n_traj // (4 * threads)))
+        with mp.get_context("fork").Pool(threads) as pool:
+            return pool.map(fn, range(n_traj), chunksize=max(1, n_traj // (4 * threads)))
+    finally:
+        # the pulse path keeps hundreds of interpolants: free them before the
+        # caller's next allocations, not at the next ensemble
+        _ENSEMBLE.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -542,18 +526,15 @@ def gain_statistics(
     init="e,0,0",
     pulse: PulseSpec | None = None,
     threads: int | None = None,
-    impedance_match: bool = True,
     return_trajectories: bool = False,
 ):
     """Output-photon counting statistics over a trajectory ensemble.
 
     Counts are the number of kappa2-channel jumps per trajectory, starting
     from |e,0,0> (setting stage completed) or from a single-photon input.
-    kappa1 is set to the numeric setting rate when impedance_match is True.
+    kappa1 is the numeric setting rate (impedance matching).
     """
-    p = params
-    if impedance_match:
-        p = params.replace(kappa1=setting_rate(params, n2_trunc=10).value)
+    p = params.replace(kappa1=setting_rate(params, n2_trunc=10).value)
     space = build_space(spec)
     h = hamiltonian_ideal(p, space)
     cols = collapse_set(p, decoherence, space)
@@ -611,7 +592,6 @@ def dark_count_trajectories(
     base_seed: int,
     spec: HilbertSpec = HilbertSpec(1, 2),
     threads: int | None = None,
-    burst_close_threshold: float = 0.99,
 ) -> DarkRateEstimate:
     """Trajectory estimate of the single and enhanced dark-count rates.
 
@@ -619,7 +599,7 @@ def dark_count_trajectories(
     with the split cavity-2 jumps active.  Singles are kappa2_G events outside
     bursts; a kappa2_E event opens a burst (only the first event counts) and
     the burst closes at the first subsequent jump whose renormalized post-jump
-    state is ground-dominated.  Rates use the ground-exposure time; with zero
+    state is more than 99% ground.  Rates use the ground-exposure time; with zero
     events the rate reported is the 1/T upper bound.
 
     kappa1 defaults to the impedance-matched setting rate when unset, so the
@@ -627,10 +607,9 @@ def dark_count_trajectories(
     """
     space, cols, h_nh = _dark_model(params, spec)
     # the basis lists every |g, n1, n2> first; sums run in index order
-    tallies = _map_ensemble(
-        functools.partial(_dark_one, n_ground=space.index("e", 0, 0),
-                          close_threshold=burst_close_threshold),
-        n_traj, threads, (h_nh, cols, duration, None, space, base_seed, "g,0,0", 0.0))
+    tallies = _map_ensemble(functools.partial(_dark_one, n_ground=space.index("e", 0, 0)),
+                            n_traj, threads, h_nh=h_nh, collapses=cols, init="g,0,0",
+                            duration=duration, pulse=None, space=space, base_seed=base_seed)
     singles = 0
     bursts = 0
     dwell = 0.0
@@ -664,7 +643,7 @@ def dark_count_trajectories(
     )
 
 
-def _dark_one(index: int, n_ground: int, close_threshold: float) -> tuple:
+def _dark_one(index: int, n_ground: int) -> tuple:
     """(singles, bursts, burst dwell) of one dark-count trajectory, classified
     jump by jump from the post-jump states."""
     singles = bursts = 0
@@ -676,7 +655,7 @@ def _dark_one(index: int, n_ground: int, close_threshold: float) -> tuple:
             bursts += 1
             burst_start = t
         elif burst_start is not None and (np.vdot(psi[:n_ground], psi[:n_ground]).real
-                                          / np.vdot(psi, psi).real > close_threshold):
+                                          / np.vdot(psi, psi).real > 0.99):
             dwell += t - burst_start
             burst_start = None
         if label == "kappa2_G" and burst_start is None:
@@ -704,9 +683,7 @@ class NoJumpRates:
 def no_jump_rates(
     params: SystemParams,
     t_end: float = 2000.0,
-    window: float | None = None,
     spec: HilbertSpec = HilbertSpec(1, 2),
-    n_grid: int = 4000,
 ) -> NoJumpRates:
     """Dark-count rates from pure non-Hermitian (no-jump) evolution of |g,0,0>.
 
@@ -714,7 +691,7 @@ def no_jump_rates(
     Gamma_j(t) = <psi|C_j^dag C_j|psi> / <psi|psi> (evaluated from the
     slowest-decaying eigenvector reached from the ground state); the dynamical
     enhanced rate is the time-integrated ratio over the initial oscillation
-    window, default 10 periods of 2 pi / sqrt(g2^2 + omega^2).
+    window of 10 periods of 2 pi / sqrt(g2^2 + omega^2), on 4000 points.
     """
     space, cols, h_nh = _dark_model(params, spec)
     c_g = cols.get("kappa2_G")
@@ -745,9 +722,8 @@ def no_jump_rates(
         warnings.warn("no-jump enhanced rate not converged over the last decade",
                       stacklevel=2)
 
-    if window is None:
-        window = 10.0 * 2.0 * np.pi / math.hypot(params.g2, params.omega)
-    tg = np.linspace(0.0, window, n_grid)
+    window = 10.0 * 2.0 * np.pi / math.hypot(params.g2, params.omega)
+    tg = np.linspace(0.0, window, 4000)
     num = np.empty_like(tg)
     den = np.empty_like(tg)
     for k, t in enumerate(tg):

@@ -1,9 +1,8 @@
-"""Unit conversion between dimensionless (g2 = 1) and laboratory 2*pi*MHz inputs.
+"""Unit conversion of laboratory 2*pi*MHz inputs to dimensionless (g2 = 1) values.
 
 All internal computation runs in units of the strong cavity coupling g2.  A
-frequency quoted as "2*pi x f MHz" maps to the dimensionless value f / g2_mhz;
-times map inversely.  Only the ratio matters, so the 2*pi is never applied
-explicitly.
+frequency quoted as "2*pi x f MHz" maps to the dimensionless value f / g2_mhz.
+Only the ratio matters, so the 2*pi is never applied explicitly.
 """
 
 from __future__ import annotations
@@ -14,20 +13,3 @@ def to_g2_units(value_mhz: float, g2_mhz: float) -> float:
     if g2_mhz <= 0:
         raise ValueError("g2 reference frequency must be positive")
     return value_mhz / g2_mhz
-
-
-def from_g2_units(value: float, g2_mhz: float) -> float:
-    """Convert a dimensionless rate back to 2*pi x MHz."""
-    if g2_mhz <= 0:
-        raise ValueError("g2 reference frequency must be positive")
-    return value * g2_mhz
-
-
-def rate_to_hz(value: float, g2_mhz: float) -> float:
-    """Dimensionless rate -> 2*pi x Hz."""
-    return from_g2_units(value, g2_mhz) * 1e6
-
-
-def time_to_us(value: float, g2_mhz: float) -> float:
-    """Dimensionless time (units of 1/g2) -> microseconds of 1/(2*pi*MHz)."""
-    return value / g2_mhz

@@ -1,3 +1,7 @@
+import math
+import multiprocessing
+import os
+import re
 import warnings
 
 import numpy as np
@@ -72,6 +76,11 @@ class TestRunTrajectory:
             psi /= np.linalg.norm(psi)
             assert np.vdot(psi, psi).real == pytest.approx(1.0, abs=1e-12)
             t_prev = t_jump
+
+    @pytest.mark.parametrize("init", ["e,0", "e,0,0,0", 3])
+    def test_malformed_init_is_value_error(self, init):
+        with pytest.raises(ValueError, match=re.escape(repr(init))):
+            mc._parse_init(init, build_space(HilbertSpec(0, 1)))
 
     def test_rng_streams_are_counter_based(self):
         a = trajectory_rng(123, 0).random(4)
@@ -233,8 +242,7 @@ class TestPulsePath:
     jump times of a solve_ivp event run per trajectory bit for bit."""
 
     @staticmethod
-    def _both(monkeypatch, n2=10, seeds=(3, 17, 2024), threads=1, duration=None,
-              t_start=0.0):
+    def _both(monkeypatch, n2=10, seeds=(3, 17, 2024), threads=1, duration=None):
         """Shared-path ensembles over ``threads`` workers, and the oracle's in one."""
         space, cols, h_nh, init, full, n_traj, pulse = _pulse_input()
         if n2 != 10:
@@ -242,7 +250,7 @@ class TestPulsePath:
 
         def ensembles(workers):
             return [run_ensemble(h_nh, cols, init, duration or full, n_traj, seed, pulse=pulse,
-                                 space=space, threads=workers, t_start=t_start)
+                                 space=space, threads=workers)
                     for seed in seeds]
 
         shared = ensembles(threads)
@@ -270,11 +278,6 @@ class TestPulsePath:
         assert sum(not t.jumps for t in shared) >= len(shared) // 2
         assert any(t.jumps for t in shared)
 
-    def test_start_inside_the_pulse(self, monkeypatch):
-        tau = _pulse_input()[-1].tau
-        shared = self._both(monkeypatch, seeds=(3, 11), t_start=2.5 * tau)
-        assert all(t.jumps and t.jumps[0][0] > 2.5 * tau for ens in shared for t in ens)
-
     def test_one_pulse_ode_per_ensemble(self, monkeypatch):
         space, cols, h_nh, init, duration, n_traj, pulse = _pulse_input()
         built = []
@@ -300,8 +303,8 @@ class TestPulsePath:
         space, cols, h_nh, init, duration, _, pulse = _pulse_input()
         path = mc.PulsePath(h_nh, cols, space, pulse, 0.0, duration)
         with pytest.raises(ValueError, match="another time interval"):
-            run_trajectory(h_nh, cols, init, duration, (1, 0), pulse=pulse, space=space,
-                           t_start=1.0, pulse_path=path)
+            run_trajectory(h_nh, cols, init, duration - 1.0, (1, 0), pulse=pulse, space=space,
+                           pulse_path=path)
 
 
 def _pulse_input_short():
@@ -361,6 +364,49 @@ class TestIllConditionedFallback:
         assert tr.initial_state_label == "custom" and tr.jumps
 
 
+class TestEnsembleSetUp:
+    """An ensemble's eigenbasis and pulse path are built once, in the calling
+    process, whether its trajectories run there or over a fork pool."""
+
+    def test_one_eigenbasis_in_the_caller_over_a_pool(self, decaying_level, monkeypatch):
+        space, cols, h_nh, _ = decaying_level
+        init, built = EigenPropagator.__init__, []
+
+        def counted(self, h):
+            built.append(os.getpid())
+            init(self, h)
+
+        monkeypatch.setattr(EigenPropagator, "__init__", counted)
+        trajs = run_ensemble(h_nh, cols, "e,0,1", 80.0, 16, 5, space=space, threads=2)
+        assert len(trajs) == 16 and all(len(t.jumps) == 1 for t in trajs)
+        # the workers inherit the caller's eigenbasis; a build in one would not show here
+        assert built == [os.getpid()]
+
+    def test_bad_pulse_input_raises_before_the_pool(self, monkeypatch):
+        space, cols, h_nh, init, duration, _, pulse = _pulse_input()
+        no_kappa1 = CollapseSet([(lab, c) for lab, c in cols.jumps if lab != "kappa1"])
+        contexts, get_context = [], multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method=None: contexts.append(method) or get_context(method))
+        with pytest.raises(ValueError, match="kappa1 channel"):
+            run_ensemble(h_nh, no_kappa1, init, duration, 8, 1, pulse=pulse, space=space,
+                         threads=2)
+        assert contexts == []
+
+    @pytest.mark.parametrize("n_traj, duration", [
+        (0, 100.0), (-1, 100.0), (2, 0.0), (2, -5.0), (2, math.inf), (2, math.nan)])
+    @pytest.mark.parametrize("engine", ["gain", "dark"])
+    def test_empty_ensemble_is_value_error(self, engine, n_traj, duration):
+        with pytest.raises(ValueError, match="n_traj >= 1 and a finite duration > 0"):
+            if engine == "gain":
+                gain_statistics(SystemParams(g1=0.05, g2=1, omega=2, kappa2=1), n_traj,
+                                duration, 1, spec=HilbertSpec(1, 2), threads=1)
+            else:
+                dark_count_trajectories(
+                    SystemParams(g1=0.2, g2=1, omega=2, kappa2=0.1, anharmonicity=40),
+                    n_traj, duration, 1, threads=1)
+
+
 class TestCountStatistics:
     def test_mandel_forms(self):
         counts = np.array([10, 12, 8, 14, 6, 20, 2, 12])
@@ -415,7 +461,7 @@ class TestGainStatistics:
             _, trajs = gain_statistics(p0, 400, 700.0, 321, spec=spec,
                                        threads=1, return_trajectories=True)
         for lab in ("kappa1", "kappa2"):
-            counts = np.array([tr.channel_counts.get(lab, 0) for tr in trajs])
+            counts = np.array([tr.count(lab) for tr in trajs])
             se = counts.std(ddof=1) / np.sqrt(len(counts))
             # every completed duty cycle exits through exactly one port-1 jump,
             # so the kappa1 counts have zero variance: allow a tiny floor
@@ -528,11 +574,6 @@ class TestNoJump:
             nj = no_jump_rates(p.replace(kappa2=1e-12), t_end=500.0)
         assert nj.steady < 1e-10
         assert nj.dynamical < 1e-10
-
-    def test_window_override(self):
-        p = SystemParams(g1=0.2, g2=1, omega=2, kappa2=0.1, anharmonicity=50)
-        nj = no_jump_rates(p, t_end=1000.0, window=50.0)
-        assert nj.window == 50.0
 
 
 class TestTrajectoryCSV:
