@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .detection import DetectionParams, detection_performance, roc_sweep, sample_observable
-from .dynamics import PulseSpec, gain_and_bandwidth, single_photon_response, steady_state_reflection
+from .dynamics import PulseSpec, gain_and_bandwidth, reflection_sweep, single_photon_response
 from .effective import (SingularEliminationError, dark_rates_steady,
                         reflection_analytic, setting_rate, setting_rate_analytic)
 from .hilbert import HilbertSpec
@@ -183,12 +183,9 @@ def run_reflection(args) -> int:
     gamma_set = setting_rate(params, n2_trunc=args.n2).value
     grid = (np.geomspace(gamma_set / 10.0, gamma_set * 10.0, 41)
             if args.kappa1_grid == "log" else _grid_in_g2(args, args.kappa1_grid))
-    rows = []
-    for k1 in grid:
-        p = params.replace(kappa1=float(k1))
-        r_num = steady_state_reflection(p, spec=HilbertSpec(2, args.n2_reflection),
-                                        decoherence=_decoherence(args))
-        rows.append((k1, r_num, reflection_analytic(gamma_set, float(k1))))
+    r_num = reflection_sweep(params, grid, spec=HilbertSpec(2, args.n2_reflection),
+                             decoherence=_decoherence(args), threads=args.threads)
+    rows = [(k1, r, reflection_analytic(gamma_set, float(k1))) for k1, r in zip(grid, r_num)]
     write_csv(args.output,
               _metadata(args, n2=args.n2, gamma_set=gamma_set, experiment="reflection"),
               ["kappa1", "r2_numeric", "r2_analytic"], rows)
@@ -329,6 +326,7 @@ _BOUNDS = {
     "points": (lambda v: v >= 2, "at least 2"),
     "tau_kappa1": (lambda v: 0 < v < math.inf, "finite and > 0"),
     "tol": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "threads": (lambda v: v is None or v >= 1, "at least 1"),
 }
 
 
@@ -373,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", "-o", default=None, help="file path or - for stdout")
         if threads:
             p.add_argument("--threads", type=int, default=None,
-                           help="worker processes for the trajectory ensemble")
+                           help="worker processes (default: the usable CPUs, at most 8)")
         return p
 
     p = experiment("setting-rate", "setting rate vs kappa2 (numeric + closed forms)",
@@ -381,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa2-grid", default="0.5:4:50")
     p.add_argument("--n2", type=int, default=10)
 
-    p = experiment("reflection", "steady-state reflection vs kappa1", run_reflection)
+    p = experiment("reflection", "steady-state reflection vs kappa1", run_reflection,
+                   threads=True)
     p.add_argument("--kappa1-grid", default="log",
                    help="a grid, or log: 41 points from Gamma_set/10 to 10 Gamma_set")
     p.add_argument("--n2", type=int, default=10)

@@ -3,8 +3,9 @@
 Lindblad master equation with adaptive integration; steady states and exact
 time-integrated observables by one factorized trace-fixed solver of the
 Liouvillian (one LU, many solves); steady-state reflection under weak
-coherent drive; the single-photon-input matrix-element hierarchy; and the
-gain and bandwidth, the gain as one resolvent solve with no time integration.
+coherent drive, its kappa1 points over a fork pool; the single-photon-input
+matrix-element hierarchy; and the gain and bandwidth, the gain as one
+resolvent solve with no time integration.
 
 Vectorization is row-major: vec(A rho B) = (A kron B^T) vec(rho).
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -29,6 +31,87 @@ from .model import CollapseSet, DecoherenceParams, SystemParams, collapse_set, h
 
 class SteadyStateError(RuntimeError):
     """Raised when the Liouvillian null-space solve fails."""
+
+
+# ---------------------------------------------------------------------------
+# independent points over a fork pool
+# ---------------------------------------------------------------------------
+
+_FORK_FN = None   # the mapped function, set in each pool worker by _fork_init
+# the plain OpenBLAS name, then those of the copies scipy's and numpy's wheels bundle
+_BLAS_THREAD_GETTERS = ("openblas_get_num_threads", "scipy_openblas_get_num_threads",
+                        "scipy_openblas_get_num_threads64_")
+
+
+def _fork_init(fn) -> None:
+    global _FORK_FN
+    _FORK_FN = fn
+
+
+def _fork_call(index: int):
+    return _FORK_FN(index)
+
+
+def _blas_threads() -> int:
+    """The most threads any OpenBLAS loaded in this process runs, 1 if none.
+
+    numpy and scipy each bundle a copy of their own, found here through
+    /proc/self/maps; where that file does not exist this returns 1.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line}
+    except OSError:
+        return 1
+    most = 1
+    for path in sorted(p for p in paths if p.startswith("/")):
+        lib = ctypes.CDLL(path)
+        for name in _BLAS_THREAD_GETTERS:
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                most = max(most, getter())
+                break
+    return most
+
+
+def pool_workers(threads: int | None) -> int:
+    """``threads``; when None, the CPUs this process may run on over the BLAS
+    threads each worker would start, at least 1 and at most 8.
+
+    A worker per CPU, each with a BLAS thread per CPU (OpenBLAS's default),
+    loses most of its time to the BLAS threads' spin-waits: on 2 cores, five
+    (2,8) reflection points took 56 s over two such workers against 8 s in
+    one process.  ValueError when ``threads`` is below 1.
+    """
+    if threads is None:
+        try:
+            usable = len(os.sched_getaffinity(0))
+        except AttributeError:   # no affinity call on this platform
+            usable = os.cpu_count() or 1
+        return min(max(1, usable // _blas_threads()), 8)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    return threads
+
+
+def fork_map(fn, n: int, threads: int | None = None) -> list:
+    """[fn(0), ..., fn(n - 1)], in index order.
+
+    Serial at one worker (``pool_workers(threads)``); otherwise over a fork
+    pool whose workers inherit ``fn`` and everything it refers to, so only the
+    indices and the results are pickled.  A worker's exception reaches the
+    caller with its type unchanged.
+    """
+    workers = pool_workers(threads)
+    if workers == 1 or n < 2:
+        return [fn(i) for i in range(n)]
+    import multiprocessing as mp
+
+    with mp.get_context("fork").Pool(min(workers, n), _fork_init, (fn,)) as pool:
+        return pool.map(_fork_call, range(n), chunksize=max(1, n // (4 * workers)))
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +406,26 @@ def steady_state_reflection(
     a_in = -1j * amp / np.sqrt(params.kappa1)
     a_out = -a_in + np.sqrt(params.kappa1) * np.trace(a1 @ rho)
     return float(np.abs(a_out / a_in) ** 2)
+
+
+def reflection_sweep(
+    params: SystemParams,
+    kappa1_grid,
+    spec: HilbertSpec = HilbertSpec(2, 8),
+    decoherence: DecoherenceParams | None = None,
+    threads: int | None = None,
+) -> np.ndarray:
+    """``steady_state_reflection`` at each kappa1 of the grid.
+
+    The points are independent, one LU each, and run over ``fork_map``'s pool
+    of ``threads`` workers; each does the arithmetic of a serial call, so the
+    values are the same for any worker count.
+    """
+    grid = [float(k1) for k1 in kappa1_grid]
+    return np.array(fork_map(
+        lambda i: steady_state_reflection(params.replace(kappa1=grid[i]), spec=spec,
+                                          decoherence=decoherence),
+        len(grid), threads))
 
 
 # ---------------------------------------------------------------------------

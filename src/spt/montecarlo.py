@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -41,7 +40,7 @@ from scipy.integrate import DOP853
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.optimize import brentq
 
-from .dynamics import PulseSpec, gaussian_pulse
+from .dynamics import PulseSpec, fork_map, gaussian_pulse, pool_workers
 from .effective import setting_rate
 from .hilbert import HilbertSpec, HilbertSpace, build_space
 from .model import (CollapseSet, DecoherenceParams, SystemParams, collapse_set,
@@ -446,27 +445,31 @@ def _map_ensemble(fn, n_traj: int, threads: int | None, **state) -> list:
     ``state`` holds the run_trajectory inputs and the base seed.  The
     eigenbasis of H_NH and, for a single-photon input, the shared ``PulsePath``
     are built once, here in the calling process, so a bad input raises here.
-    The trajectories then run in this process, or over a fork pool of
-    ``threads`` workers (default: the CPU count, at most 8) that inherit the
-    state; results come back in index order.
+    The trajectories then run in this process, or, from 8 trajectories on,
+    over ``fork_map``'s pool of ``pool_workers(threads)`` workers that inherit
+    the state; results come back in index order.  A path bound for the pool is
+    first stepped as far as any trajectory will ask.
     """
     duration, init, h_nh = state["duration"], state["init"], state["h_nh"]
     if n_traj < 1 or not (math.isfinite(duration) and duration > 0):
         raise ValueError("an ensemble needs n_traj >= 1 and a finite duration > 0, "
                          f"got n_traj={n_traj}, duration={duration}")
+    workers = pool_workers(threads)
+    if n_traj < 8:   # too few trajectories to pay for a pool
+        workers = 1
     pulse_path = None
     if isinstance(init, str) and init == "single-photon-input":
         pulse_path = PulsePath(h_nh, state["collapses"], state["space"], state["pulse"],
                                0.0, duration)
+        if workers > 1:
+            # step as far as the ensemble's smallest first threshold (the first
+            # draw of each trajectory's stream, on the norm at 0) crosses, so the
+            # workers replay these steps instead of each stepping a copy
+            first = min(trajectory_rng(state["base_seed"], i).random() for i in range(n_traj))
+            pulse_path.crossing(first * pulse_path._norms[0])
     _ENSEMBLE.update(state, prop=EigenPropagator(h_nh), pulse_path=pulse_path)
-    threads = threads if threads is not None else min(os.cpu_count() or 1, 8)
     try:
-        if threads <= 1 or n_traj < 8:
-            return [fn(i) for i in range(n_traj)]
-        import multiprocessing as mp
-
-        with mp.get_context("fork").Pool(threads) as pool:
-            return pool.map(fn, range(n_traj), chunksize=max(1, n_traj // (4 * threads)))
+        return fork_map(fn, n_traj, workers)
     finally:
         # the pulse path keeps hundreds of interpolants: free them before the
         # caller's next allocations, not at the next ensemble

@@ -20,8 +20,7 @@ from scipy import stats as sps
 
 from spt.detection import DetectionParams, detection_performance, sample_observable
 from spt.dressed import dressed_basis
-from spt.dynamics import (PulseSpec, gain_and_bandwidth, single_photon_response,
-                          steady_state_reflection)
+from spt.dynamics import PulseSpec, gain_and_bandwidth, reflection_sweep, single_photon_response
 from spt.effective import (dark_asymptotic_enhanced, dark_rates_steady,
                            reflection_analytic, setting_rate, setting_rate_analytic)
 from spt.hilbert import HilbertSpec, build_space
@@ -141,10 +140,7 @@ def test_criterion_3_impedance_matching_dip():
     p = SystemParams(g1=0.05, g2=1, omega=2, kappa2=2)
     gamma_set = setting_rate(p, 10).value
     grid = np.geomspace(gamma_set / 10.0, gamma_set * 10.0, 41)
-    refl = np.array([
-        steady_state_reflection(p.replace(kappa1=float(k1)), spec=HilbertSpec(2, 8))
-        for k1 in grid
-    ])
+    refl = reflection_sweep(p, grid, spec=HilbertSpec(2, 8))
     i_min = int(np.argmin(refl))
     dip_location_off = abs(grid[i_min] - gamma_set) / gamma_set
     dip_value = float(refl[i_min])

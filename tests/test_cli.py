@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+import spt.dynamics
 from spt.cli import ConfigError, main, parse_grid
 
 
@@ -127,6 +129,36 @@ class TestExperiments:
             assert 0.0 <= float(r[1]) <= 1.0
             # numeric tracks the closed form away from the dip
             assert float(r[1]) == pytest.approx(float(r[2]), abs=0.05)
+
+    _SMALL_REFLECTION = ["reflection", "--g1", "0.05", "--kappa2", "2",
+                         "--kappa1-grid", "log:0.001:0.01:3", "--n2", "6", "--n2-reflection", "3"]
+
+    def test_reflection_threads_are_byte_identical(self, tmp_path):
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        assert main(self._SMALL_REFLECTION + ["--threads", "1", "-o", str(one)]) == 0
+        assert main(self._SMALL_REFLECTION + ["--threads", "2", "-o", str(two)]) == 0
+        assert one.read_bytes() == two.read_bytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_reflection_failure_in_a_worker_exit_code(self, threads, monkeypatch, capsys):
+        original = spt.dynamics.steady_state_reflection
+
+        def fail_last(params, **kwargs):
+            if params.kappa1 > 0.005:
+                raise spt.dynamics.SteadyStateError(f"no steady state in pid {os.getpid()}")
+            return original(params, **kwargs)
+
+        monkeypatch.setattr(spt.dynamics, "steady_state_reflection", fail_last)
+        assert main(self._SMALL_REFLECTION + ["--threads", threads]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: no steady state" in err
+        assert (f"pid {os.getpid()}" in err) == (threads == "1")
+
+    def test_threads_in_config_is_checked(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"threads": 0}))
+        assert main(["--config", str(conf)] + self._SMALL_REFLECTION) == 2
+        assert "--threads must be at least 1, got 0" in capsys.readouterr().err
 
     def test_reflection_bare_log_grid(self, tmp_path):
         # the default --kappa1-grid: 41 points, two decades around Gamma_set
@@ -262,6 +294,10 @@ class TestExperiments:
         (["reflection", "--n2-reflection", "0"], "--n2-reflection"),
         (["dark-counts", "--anharmonicity", "40", "--trajectories", "-1"], "--trajectories"),
         (["dark-counts", "--anharmonicity", "40", "--t-end", "inf"], "--t-end"),
+        (["trajectories", "--threads", "0"], "--threads"),
+        (["trajectories", "--threads", "-3"], "--threads"),
+        (["dark-counts", "--anharmonicity", "40", "--threads", "0"], "--threads"),
+        (["reflection", "--threads", "0"], "--threads"),
     ])
     def test_out_of_range_option_is_config_error(self, argv, flag, capsys):
         assert main(argv) == 2

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,9 +13,10 @@ import spt.dynamics
 from spt.hilbert import HilbertSpec, build_space
 from spt.model import (CollapseSet, DecoherenceParams, SystemParams, collapse_set,
                        hamiltonian_ideal, nonhermitian)
-from spt.dynamics import (PulseSpec, SinglePhotonResult, TimeSeries, gain_and_bandwidth,
-                          gaussian_pulse, lindblad_propagate, liouvillian,
-                          single_photon_response, steady_state, steady_state_reflection)
+from spt.dynamics import (PulseSpec, SinglePhotonResult, SteadyStateError, TimeSeries,
+                          fork_map, gain_and_bandwidth, gaussian_pulse, lindblad_propagate,
+                          liouvillian, pool_workers, reflection_sweep, single_photon_response,
+                          steady_state, steady_state_reflection)
 from spt.effective import reflection_analytic, setting_rate
 
 
@@ -173,6 +177,90 @@ class TestSteadyStateReflection:
     def test_requires_kappa1(self):
         with pytest.raises(ValueError):
             steady_state_reflection(SystemParams(kappa1=0.0))
+
+
+class TestForkMap:
+    def test_index_order_over_a_pool(self):
+        # fn is inherited by the workers, not pickled: a closure works
+        offset = 100
+        results = fork_map(lambda i: (i + offset, os.getpid()), 9, 2)
+        assert [r[0] for r in results] == list(range(100, 109))
+        assert os.getpid() not in {r[1] for r in results}
+
+    def test_serial_at_one_worker(self):
+        seen = []
+        assert fork_map(lambda i: seen.append(os.getpid()) or i * i, 4, 1) == [0, 1, 4, 9]
+        assert seen == [os.getpid()] * 4
+        assert fork_map(lambda i: i, 0, 2) == []
+
+    def test_worker_exception_keeps_its_type(self):
+        def fn(i):
+            if i == 3:
+                raise SteadyStateError(f"point {i} in pid {os.getpid()}")
+            return i
+
+        with pytest.raises(SteadyStateError, match="point 3 in pid") as exc:
+            fork_map(fn, 6, 2)
+        assert f"pid {os.getpid()}" not in str(exc.value)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_fewer_than_one_worker_is_value_error(self, threads):
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            fork_map(lambda i: i, 4, threads)
+
+    @pytest.mark.parametrize("cpus, blas, workers", [
+        (1, 1, 1), (2, 1, 2), (16, 1, 8), (2, 2, 1), (3, 2, 1), (16, 2, 8), (8, 8, 1)])
+    def test_default_shares_usable_cpus_with_blas(self, cpus, blas, workers, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(spt.dynamics, "_blas_threads", lambda: blas)
+        assert pool_workers(None) == workers
+        assert pool_workers(5) == 5
+
+    def test_default_without_affinity_counts_cpus(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(spt.dynamics, "_blas_threads", lambda: 1)
+        assert pool_workers(None) == 3
+
+    def test_blas_threads_reads_the_loaded_openblas(self):
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            if "openblas" not in fh.read():
+                pytest.skip("no OpenBLAS is loaded")
+        src = os.path.dirname(os.path.dirname(spt.dynamics.__file__))
+        for n in (1, 2):
+            out = subprocess.run(
+                [sys.executable, "-c", "import spt.dynamics; print(spt.dynamics._blas_threads())"],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": str(n), "PYTHONPATH": src},
+                capture_output=True, text=True, timeout=60, check=True)
+            assert out.stdout.strip() == str(n)
+
+
+class TestReflectionSweep:
+    P = SystemParams(g1=0.05, g2=1, omega=2, kappa2=2)
+    GRID = np.array([0.001, 0.0032, 0.01])
+
+    def test_threads_give_identical_values(self):
+        spec = HilbertSpec(2, 3)
+        serial = [steady_state_reflection(self.P.replace(kappa1=k1), spec=spec)
+                  for k1 in self.GRID]
+        for threads in (1, 2):
+            swept = reflection_sweep(self.P, self.GRID, spec=spec, threads=threads)
+            assert [float(r).hex() for r in swept] == [r.hex() for r in serial]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failing_point_raises_steady_state_error(self, threads, monkeypatch):
+        original = spt.dynamics.steady_state_reflection
+
+        def fail_middle(params, **kwargs):
+            if params.kappa1 == self.GRID[1]:
+                raise SteadyStateError(f"no steady state in pid {os.getpid()}")
+            return original(params, **kwargs)
+
+        monkeypatch.setattr(spt.dynamics, "steady_state_reflection", fail_middle)
+        with pytest.raises(SteadyStateError, match="no steady state") as exc:
+            reflection_sweep(self.P, self.GRID, spec=HilbertSpec(1, 2), threads=threads)
+        assert (f"pid {os.getpid()}" in str(exc.value)) == (threads == 1)
 
 
 class TestSinglePhoton:
