@@ -23,6 +23,7 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate._ivp.common import select_initial_step
 
 from .effective import setting_rate
 from .hilbert import HilbertSpec, HilbertSpace, build_space
@@ -294,17 +295,114 @@ def _top_layer_projectors(space: HilbertSpace):
     return top1, top2
 
 
+@dataclass(frozen=True)
+class _CompactLayout:
+    """Where the entries of a compact ODE state sit in a full state of length n
+    whose other entries stay exactly zero.
+
+    ``slots[q]`` is the full index of compact entry q, or n for padding.  The
+    evolved entries below the full state's last (n mod 16) come first, in
+    full-index order, zero-padded to a multiple of 16; those last (n mod 16)
+    full entries follow, evolved or not.  OpenBLAS's zgemv, which forms
+    DOP853's stage sums, computes the last (rows mod 4) rows by a different
+    path than the others, so this layout gives every entry the path, and so
+    the bits, that it has in the full state.
+    """
+
+    slots: np.ndarray
+    n: int
+
+    @classmethod
+    def of(cls, keep: np.ndarray, n: int) -> "_CompactLayout":
+        """The layout for the sorted full indices ``keep`` of a length-n state."""
+        tail = n - n % 16
+        main = keep[keep < tail]
+        return cls(np.concatenate([main, np.full(-len(main) % 16, n), np.arange(tail, n)]), n)
+
+    def positions(self, keep: np.ndarray) -> np.ndarray:
+        """The compact position of each full index in ``keep``."""
+        at = np.empty(self.n + 1, dtype=np.intp)
+        at[self.slots] = np.arange(len(self.slots))
+        return at[keep]
+
+    def full(self, v: np.ndarray) -> np.ndarray:
+        """The full-length vector of the compact ``v``."""
+        out = np.zeros(self.n + 1, dtype=v.dtype)
+        out[self.slots] = v
+        return out[:-1]
+
+    def compact(self, y: np.ndarray) -> np.ndarray:
+        """The compact vector of the full-length ``y``."""
+        return np.append(y, 0)[self.slots]
+
+
+class _CompactDOP853(DOP853):
+    """DOP853 on a compact state (``_CompactLayout``), step for step and bit
+    for bit DOP853 on the full state.
+
+    Every vector operation of DOP853 acts entry by entry, or (its stage sums)
+    through zgemv, whose bits the layout keeps.  Only two of its quantities
+    sum over the whole state: the RMS norms of the initial step and of the
+    error estimate.  Both are taken here over the full length, from the compact
+    vectors scattered into zeros, because numpy's norm sums with a strided dot
+    product whose rounding depends on each entry's place.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol, layout: _CompactLayout):
+        # a given first step keeps RungeKutta from choosing one on the compact
+        # state (with an RHS call); it is replaced by the full state's below
+        super().__init__(fun, t0, y0, t_bound, rtol=rtol, atol=atol, first_step=t_bound - t0)
+        self.layout = layout
+        # full-length scatter targets of the error estimate; slot n takes the padding
+        self._err5 = np.zeros(layout.n + 1, dtype=self.y.dtype)
+        self._err3 = np.zeros(layout.n + 1, dtype=self.y.dtype)
+        self.h_abs = select_initial_step(
+            lambda t, y: layout.full(self.fun(t, layout.compact(y))), self.t,
+            layout.full(self.y), t_bound, self.max_step, layout.full(self.f), self.direction,
+            self.error_estimator_order, self.rtol, self.atol)
+
+    def _estimate_error_norm(self, K, h, scale):
+        """DOP853's error norm, over the full state."""
+        slots = self.layout.slots
+        self._err5[slots] = np.dot(K.T, self.E5) / scale
+        self._err3[slots] = np.dot(K.T, self.E3) / scale
+        err5_norm_2 = np.linalg.norm(self._err5[:-1]) ** 2
+        err3_norm_2 = np.linalg.norm(self._err3[:-1]) ** 2
+        if err5_norm_2 == 0 and err3_norm_2 == 0:
+            return 0.0
+        denom = err5_norm_2 + 0.01 * err3_norm_2
+        return np.abs(h) * err5_norm_2 / np.sqrt(denom * self.layout.n)
+
+
 def _grid_solve(fun, t_grid: np.ndarray, y0: np.ndarray, rtol: float, atol: float,
-                rows=slice(None), what: str = "ODE") -> tuple[np.ndarray, int, tuple[int, int]]:
+                rows=slice(None), what: str = "ODE", layout: _CompactLayout | None = None,
+                ) -> tuple[np.ndarray, int, tuple[int, int]]:
     """``solve_ivp(fun, (t_grid[0], t_grid[-1]), y0, t_eval=t_grid, method="DOP853")``
     replayed step for step, storing only ``rows`` of y: (ys, nfev, (accepted,
     rejected) steps) with ys[:, k] = y(t_grid[k])[rows].  After each step the
     grid points up to its end (side="right") are read from its dense output, as
     solve_ivp does, so every stored bit is solve_ivp's.
+
+    With a ``layout``, ``fun`` and ``y0`` live on its compact state and
+    ``rows`` index it; ``_CompactDOP853`` steps it with the bits of the full
+    state's solve_ivp (at one BLAS thread; see ``single_photon_response``):
+    error norm and initial step over the full length, and a layout that keeps
+    zgemv's tail rows.
+
+    ValueError unless the grid holds at least two points, finite and strictly
+    increasing, and 0 < ``rtol`` < 1 (the ``tol`` of the callers).
     """
+    if t_grid.size < 2 or not np.all(np.isfinite(t_grid)):
+        # one point is refused too: scipy's output over a zero-length span is
+        # real, so it would drop y0's imaginary parts
+        raise ValueError("t_grid must hold at least two points, all finite")
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
-    solver = DOP853(fun, float(t_grid[0]), y0, float(t_grid[-1]), rtol=rtol, atol=atol)
+    if not 0 < rtol < 1:
+        raise ValueError(f"tol must be in (0, 1), got {rtol!r}")
+    problem = (fun, float(t_grid[0]), y0, float(t_grid[-1]))
+    solver = (DOP853(*problem, rtol=rtol, atol=atol) if layout is None
+              else _CompactDOP853(*problem, rtol, atol, layout))
     ys = np.empty((len(solver.y[rows]), len(t_grid)), dtype=solver.y.dtype)
     i = accepted = rejected = 0
     while solver.status == "running":
@@ -335,7 +433,9 @@ def lindblad_propagate(
 
     Adaptive explicit Runge-Kutta (DOP853) with relative tolerance ``tol``.
     The density matrix is symmetrized at every output time; trace drift and
-    top-Fock-layer population are monitored.
+    top-Fock-layer population are monitored.  ValueError for a ``t_grid`` of
+    fewer than two points, non-finite or not strictly increasing, or ``tol``
+    outside (0, 1).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     dim = rho0.shape[0]
@@ -517,14 +617,15 @@ def _hierarchy_support(lv: sparse.csr_matrix, space: HilbertSpace):
 
 
 def _hierarchy_rhs(lv: sparse.csr_matrix, space: HilbertSpace, kappa1: float,
-                   pulse: PulseSpec, support: tuple):
-    """Hierarchy right-hand side on the state [vec rho_10, vec rho_11].
+                   pulse: PulseSpec, support: tuple, layout: _CompactLayout):
+    """Hierarchy right-hand side on the compact ``layout`` of the state
+    [vec rho_10, vec rho_11] (see ``single_photon_response``).
 
-    Evolves only the |g,0,0> column of rho_10 (see ``single_photon_response``),
-    and rho_11 only on its support, both from ``_hierarchy_support``.
-    ``lv_col`` and ``lv_sup`` keep the per-row entry order of ``lv``, and the
-    source is added only at its places, with the same per-element operations,
-    so each sum matches the full-block product bit for bit.
+    Evolves only the |g,0,0> column of rho_10, and rho_11 only on its support,
+    both from ``_hierarchy_support``, by one block-diagonal CSR product
+    lv_col + lv_sup whose rows keep the per-row entry order of ``lv``; the
+    sources are added only at their places, with the same per-element
+    operations, so each sum matches the full-block product bit for bit.
     """
     dim = space.dim
     nf = dim * dim
@@ -533,29 +634,36 @@ def _hierarchy_rhs(lv: sparse.csr_matrix, space: HilbertSpace, kappa1: float,
     a1d = space.annihilation("cavity1").conj().T
     col, src, sup = support
     lv_col = lv[col][:, col]
+    lv_sup = lv[sup][:, sup]
+    # compact places of the evolved entries; increasing, so lv_held's rows
+    # take the data of lv_col and lv_sup in order
+    held = layout.positions(np.concatenate([col, nf + sup]))
+    at_col, at_sup = held[:dim], held[dim:]
+    lengths = np.zeros(len(layout.slots), dtype=np.intp)
+    lengths[held] = np.concatenate([np.diff(lv_col.indptr), np.diff(lv_sup.indptr)])
+    lv_held = sparse.csr_matrix(
+        (np.concatenate([lv_col.data, lv_sup.data]),
+         held[np.concatenate([lv_col.indices, dim + lv_sup.indices])],
+         np.concatenate([[0], np.cumsum(lengths)])), shape=(len(lengths),) * 2)
     msk = -np.sqrt(kappa1)
     # the rho_10 source -sqrt(kappa1) [a1^dag, rho_00] = -sqrt(kappa1) |g,1,0><g,0,0|
     k10_col = np.zeros(dim, dtype=complex)
     k10_col[i_g10] = msk
-    lv_sup = lv[sup][:, sup]
     a, b = np.nonzero(src)
-    at = np.searchsorted(sup, a * dim + b)          # the source's places in the support
+    at = at_sup[np.searchsorted(sup, a * dim + b)]   # the source's places
     # s[a, b] and s[b, a] as indices into [row g,1,0; row g,0,0; 0]
     pad = 2 * dim
     s_ab = np.where(a == i_g10, b, np.where(a == i_g00, dim + b, pad))
     s_ba = np.where(b == i_g10, a, np.where(b == i_g00, dim + a, pad))
-    sup = nf + sup
 
     def rhs(t, y):
-        x = y[col]
+        x = y[at_col]
         xi = float(gaussian_pulse(pulse, t))
-        dy = np.zeros_like(y)
-        dy[col] = lv_col @ x + xi * k10_col
+        dy = lv_held @ y
+        dy[at_col] = dy[at_col] + xi * k10_col
         xbar = x.conj()
         s = np.concatenate([xbar, -(xbar @ a1d), [0.0]])
-        d11 = lv_sup @ y[sup]
-        d11[at] = d11[at] + msk * xi * (s[s_ab] + s[s_ba].conj())
-        dy[sup] = d11
+        dy[at] = dy[at] + msk * xi * (s[s_ab] + s[s_ba].conj())
         return dy
 
     return rhs
@@ -590,11 +698,29 @@ def single_photon_response(
     ValueError otherwise).  So rho_00 is stationary and rho_10 = |x(t)><g,0,0|
     exactly, and the right-hand side evolves only that column (dim entries,
     not dim^2), and rho_11 only on the entries that L and the source can reach
-    (1210 of 4356 at (1,10)).  Only those entries are kept on the grid (1276
-    of 8712); the full blocks are rebuilt _CHUNK time points at a time for the
-    per-time-point einsums.  The ODE state keeps its full length 2 dim^2: the
-    error norm is an RMS over the whole vector, and DOP853's stage sums depend
-    on each entry's place in it, so a shorter state would change output bits.
+    (1210 of 4356 at (1,10)).  DOP853 steps only those 1276 of the 2 dim^2 =
+    8712 entries, as a compact state (``_CompactDOP853``), and only they are
+    kept on the grid; the full blocks are rebuilt _CHUNK time points at a time
+    for the per-time-point einsums.  Three rules give the compact state the
+    bits, steps and RHS calls of stepping all 2 dim^2 entries:
+
+    * the error norm is taken over the full length: the compact err5/scale
+      and err3/scale are scattered into full-length zeros, because numpy's
+      norm sums by position;
+    * the initial step comes from scipy's ``select_initial_step`` on the full
+      y0 and the scattered f0, and its RHS call is counted as before;
+    * the layout (``_CompactLayout``) keeps OpenBLAS's zgemv tail rows: the
+      evolved entries in full-index order, zero-padded to a multiple of 16,
+      then the last (2 dim^2 mod 16) full entries.
+
+    Bit identity with the full-length route holds at one BLAS thread.  With
+    two, OpenBLAS splits the stage sums' rows in half, and at odd dim the
+    halves' tails fall on different entries: (2,6) then differs by about
+    5e-15 relative (same steps).  Every CLI spec is (1, N2), whose dim 6 (N2 + 1)
+    is even; each one checked also matched at two threads.
+
+    ValueError for a ``t_grid`` of fewer than two points, non-finite or not
+    strictly increasing, or ``tol`` outside (0, 1).
 
     Diagnostics (written to no artifact): ``rhs_evals``, the right-hand-side
     calls of the hierarchy and absorption solves; ``steps``, the accepted and
@@ -625,12 +751,14 @@ def single_photon_response(
     rho00 = np.outer(space.basis_state("g", 0, 0), space.basis_state("g", 0, 0).conj())
     nf = dim * dim
     support = _hierarchy_support(lv, space)
-    rhs = _hierarchy_rhs(lv, space, params.kappa1, pulse, support)
     keep = np.concatenate([support[0], nf + support[2]])   # every other entry stays 0
+    layout = _CompactLayout.of(keep, 2 * nf)
+    rhs = _hierarchy_rhs(lv, space, params.kappa1, pulse, support, layout)
 
     y0 = np.zeros(2 * nf, dtype=complex)
     y0[nf:] = rho00.reshape(-1)
-    ys, nfev, steps = _grid_solve(rhs, t_grid, y0, tol, tol * 1e-4, keep, "single-photon")
+    ys, nfev, steps = _grid_solve(rhs, t_grid, layout.compact(y0), tol, tol * 1e-4,
+                                  layout.positions(keep), "single-photon", layout)
 
     obs = {"n2": n2op, "n1": a1.conj().T @ a1,
            **{f"pop_{level}": space.qutrit_projector(level) for level in ("g", "e", "f")}}

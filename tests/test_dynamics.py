@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853, solve_ivp
@@ -386,23 +387,14 @@ class TestHierarchyColumn:
                                               gamma_p_ee=0.005, gamma_p_ff=0.01)),
         (HilbertSpec(2, 3), None),
     ])
-    def test_bitwise_equal_to_full_block_oracle(self, monkeypatch, spec, dec):
-        import spt.dynamics
-
+    def test_bitwise_equal_to_full_block_oracle(self, spec, dec):
         p = SystemParams(g1=0.3, g2=1, omega=2, kappa1=0.18, kappa2=1)  # kappa1 ~ Gamma_set
         tau = 6.0 / p.kappa1
         pulse = PulseSpec.from_tau(tau=tau, center_time=4.5 * tau)
         grid = np.linspace(0.0, 9.0 * tau, 60)
         res = single_photon_response(p, pulse, grid, spec=spec, decoherence=dec, tol=1e-7)
-        monkeypatch.setattr(spt.dynamics, "_hierarchy_rhs", _full_block_rhs)
-        ref = single_photon_response(p, pulse, grid, spec=spec, decoherence=dec, tol=1e-7)
-        assert list(res.series.channels) == list(ref.series.channels)
-        for name, values in ref.series.channels.items():
-            assert np.array_equal(res.series.channels[name], values), name
-        assert res.gain == ref.gain
-        assert res.absorbed_fraction == ref.absorbed_fraction
-        assert res.n_out1 == ref.n_out1
-        assert np.array_equal(res.final_rho, ref.final_rho)
+        ref, _ = _reference_response(p, pulse, grid, spec, dec, 1e-7, rhs=_full_block_rhs)
+        _assert_same_bits(res, ref)
         assert res.gain > 1.0 and res.absorbed_fraction > 0.9   # a non-trivial run
 
     def test_pumped_ground_raises(self, monkeypatch):
@@ -431,11 +423,50 @@ def _solve_ivp_grid(fun, t_grid, y0, rtol, atol, rows=slice(None), what="ODE"):
     return sol.y[rows], sol.nfev, None
 
 
-def _reference_response(params, pulse, t_grid, spec, decoherence, tol):
-    """Oracle: ``single_photon_response`` as it was before it kept only the
-    evolved entries: solve_ivp with t_eval stores all 2 dim^2 entries at every
-    grid point, and the observables come from the full (time, dim, dim) grids.
-    Returns the result and the full ``sol.y``."""
+def _full_length_rhs(lv, space, kappa1, pulse, support):
+    """Oracle: the hierarchy right-hand side on the full state [vec rho_10,
+    vec rho_11], nonzero only on the |g,0,0> column of rho_10 and the rho_11
+    support; the library steps these entries alone and must match it bit for
+    bit."""
+    dim = space.dim
+    nf = dim * dim
+    i_g00 = space.index("g", 0, 0)
+    i_g10 = space.index("g", 1, 0)
+    a1d = space.annihilation("cavity1").conj().T
+    col, src, sup = support
+    lv_col = lv[col][:, col]
+    msk = -np.sqrt(kappa1)
+    k10_col = np.zeros(dim, dtype=complex)
+    k10_col[i_g10] = msk
+    lv_sup = lv[sup][:, sup]
+    a, b = np.nonzero(src)
+    at = np.searchsorted(sup, a * dim + b)
+    pad = 2 * dim
+    s_ab = np.where(a == i_g10, b, np.where(a == i_g00, dim + b, pad))
+    s_ba = np.where(b == i_g10, a, np.where(b == i_g00, dim + a, pad))
+    sup = nf + sup
+
+    def rhs(t, y):
+        x = y[col]
+        xi = float(gaussian_pulse(pulse, t))
+        dy = np.zeros_like(y)
+        dy[col] = lv_col @ x + xi * k10_col
+        xbar = x.conj()
+        s = np.concatenate([xbar, -(xbar @ a1d), [0.0]])
+        d11 = lv_sup @ y[sup]
+        d11[at] = d11[at] + msk * xi * (s[s_ab] + s[s_ba].conj())
+        dy[sup] = d11
+        return dy
+
+    return rhs
+
+
+def _reference_response(params, pulse, t_grid, spec, decoherence, tol, rhs=_full_length_rhs):
+    """Oracle: ``single_photon_response`` as it was before it stepped a compact
+    state and kept only the evolved entries: solve_ivp with t_eval steps and
+    stores all 2 dim^2 entries of ``rhs``'s state at every grid point, and the
+    observables come from the full (time, dim, dim) grids.  Returns the result
+    and the full ``sol.y``."""
     space = build_space(spec)
     h = hamiltonian_ideal(params, space)
     cols = collapse_set(params, decoherence, space)
@@ -445,11 +476,10 @@ def _reference_response(params, pulse, t_grid, spec, decoherence, tol):
     a2 = space.annihilation("cavity2")
     n2op = a2.conj().T @ a2
     rho00 = np.outer(space.basis_state("g", 0, 0), space.basis_state("g", 0, 0).conj())
-    rhs = spt.dynamics._hierarchy_rhs(lv, space, params.kappa1, pulse,
-                                      spt.dynamics._hierarchy_support(lv, space))
+    fun = rhs(lv, space, params.kappa1, pulse, spt.dynamics._hierarchy_support(lv, space))
     y0 = np.zeros(2 * nf, dtype=complex)
     y0[nf:] = rho00.reshape(-1)
-    sol = solve_ivp(rhs, (t_grid[0], t_grid[-1]), y0, t_eval=t_grid,
+    sol = solve_ivp(fun, (t_grid[0], t_grid[-1]), y0, t_eval=t_grid,
                     method="DOP853", rtol=tol, atol=tol * 1e-4)
     assert sol.success
     rho10_t = sol.y[:nf].T.reshape(len(t_grid), dim, dim)
@@ -490,23 +520,32 @@ def _assert_same_bits(res, ref):
     assert res.final_rho.tobytes() == ref.final_rho.tobytes()
 
 
+_DEC = DecoherenceParams(gamma_eg=0.01, gamma_fe=0.02, gamma_p_ee=0.005, gamma_p_ff=0.01)
+
+
+def _at_one_blas_thread(statement):
+    """Run ``statement`` in this module's namespace in a fresh interpreter
+    whose OpenBLAS runs one thread."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(spt.dynamics.__file__))
+    code = ("import test_dynamics\n"
+            "assert test_dynamics.spt.dynamics._blas_threads() == 1\n"
+            f"exec({statement!r}, vars(test_dynamics))")
+    run = subprocess.run([sys.executable, "-c", code], cwd=here, capture_output=True, text=True,
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                              "PYTHONPATH": os.pathsep.join([src, here])}, timeout=600)
+    assert run.returncode == 0, run.stderr[-4000:]
+
+
 class TestKeptEntries:
-    """single_photon_response stores only the evolved entries on the grid;
-    every output must be bit for bit the full-grid route's."""
+    """single_photon_response steps a compact state and stores only the
+    evolved entries on the grid; every output must be bit for bit the
+    full-length, full-grid route's."""
 
     p = SystemParams(g1=0.3, g2=1, omega=2, kappa1=0.18, kappa2=1)   # kappa1 ~ Gamma_set
     pulse = PulseSpec.from_tau(tau=6.0 / 0.18, center_time=4.5 * 6.0 / 0.18)
 
-    @pytest.mark.parametrize("spec, dec, points", [
-        (HilbertSpec(1, 4), None, 60),
-        (HilbertSpec(1, 4), DecoherenceParams(gamma_eg=0.01, gamma_fe=0.02,
-                                              gamma_p_ee=0.005, gamma_p_ff=0.01), 60),
-        (HilbertSpec(2, 3), None, 60),
-        (HilbertSpec(1, 10), None, 61),
-        (HilbertSpec(1, 4), None, 2),                  # the two-point grid
-        (HilbertSpec(1, 4), None, 17),                 # one point past a whole chunk
-    ])
-    def test_bitwise_equal_to_full_grid_oracle(self, spec, dec, points):
+    def check_bits(self, spec, dec, points):
         grid = np.linspace(0.0, 9.0 * self.pulse.tau, points)
         res = single_photon_response(self.p, self.pulse, grid, spec=spec, decoherence=dec,
                                      tol=1e-7)
@@ -516,14 +555,34 @@ class TestKeptEntries:
         if points > 2:
             assert res.gain > 1.0 and res.absorbed_fraction > 0.9   # a non-trivial run
 
-    def test_full_block_rhs_leaves_dropped_entries_zero(self, monkeypatch):
-        # the full right-hand side evolves every entry, so a kept-row set that
-        # missed a nonzero entry would show here, in the oracle's sol.y
-        monkeypatch.setattr(spt.dynamics, "_hierarchy_rhs", _full_block_rhs)
+    @pytest.mark.parametrize("spec, dec, points", [
+        (HilbertSpec(1, 4), None, 60),
+        (HilbertSpec(1, 4), _DEC, 60),
+        (HilbertSpec(2, 3), None, 60),
+        (HilbertSpec(1, 10), None, 61),
+        (HilbertSpec(1, 4), None, 2),                  # the two-point grid
+        (HilbertSpec(1, 4), None, 17),                 # one point past a whole chunk
+    ])
+    def test_bitwise_equal_to_full_grid_oracle(self, spec, dec, points):
+        self.check_bits(spec, dec, points)
+
+    @pytest.mark.parametrize("spec, dec", [(HilbertSpec(2, 4), "_DEC"), (HilbertSpec(2, 6), None)])
+    def test_odd_dim_bitwise_at_one_blas_thread(self, spec, dec):
+        # at odd dim, 2 dim^2 = 2 (mod 4); with two BLAS threads OpenBLAS splits
+        # the stage sums' rows in half and the two halves' tails fall on
+        # different entries of the full and the compact state, so bit identity
+        # is claimed at one BLAS thread (at (2,6) two threads differ by ~5e-15)
+        assert build_space(spec).dim % 2 == 1
+        _at_one_blas_thread(f"TestKeptEntries().check_bits({spec!r}, {dec}, 60)")
+
+    def test_full_block_rhs_leaves_dropped_entries_zero(self):
+        # the full-block right-hand side evolves every entry, so a kept-entry
+        # set that missed a nonzero entry would show here, in the oracle's sol.y
         spec = HilbertSpec(1, 4)
         grid = np.linspace(0.0, 9.0 * self.pulse.tau, 60)
         res = single_photon_response(self.p, self.pulse, grid, spec=spec, tol=1e-7)
-        ref, ys = _reference_response(self.p, self.pulse, grid, spec, None, 1e-7)
+        ref, ys = _reference_response(self.p, self.pulse, grid, spec, None, 1e-7,
+                                      rhs=_full_block_rhs)
         _assert_same_bits(res, ref)
         space = build_space(spec)
         lv = liouvillian(hamiltonian_ideal(self.p, space), collapse_set(self.p, None, space))
@@ -597,6 +656,91 @@ class TestGridSolve:
         fun, y0 = self._problem()
         with pytest.raises(ValueError, match="increasing"):
             spt.dynamics._grid_solve(fun, np.array([0.0, 2.0, 1.0]), y0, 1e-8, 1e-12)
+
+    @pytest.mark.parametrize("grid", [[], [0.0], [0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0]])
+    def test_rejects_short_or_non_finite_grid(self, grid):
+        fun, y0 = self._problem()
+        with pytest.raises(ValueError, match="at least two points, all finite"):
+            spt.dynamics._grid_solve(fun, np.array(grid, dtype=float), y0, 1e-8, 1e-12)
+
+
+class TestArguments:
+    """Both public integrators refuse a grid or tolerance they cannot honour
+    (an empty grid raised IndexError, a non-finite one hung, a one-point grid
+    dropped the imaginary parts of the state; tol 0 hung and tol 2 returned
+    a gain of 700)."""
+
+    P = SystemParams(g1=0.3, g2=1, omega=2, kappa1=0.18, kappa2=1)
+
+    @pytest.mark.parametrize("grid, tol, match", [
+        ([], 1e-7, "at least two points"),
+        ([3.0], 1e-7, "at least two points"),
+        ([0.0, np.nan], 1e-7, "all finite"),
+        ([0.0, 5.0, np.inf], 1e-7, "all finite"),
+        ([0.0, 10.0], 0.0, "tol must be in"),
+        ([0.0, 10.0], 1.0, "tol must be in"),
+        ([0.0, 10.0], 2.0, "tol must be in"),
+        ([0.0, 10.0], np.nan, "tol must be in"),
+    ])
+    def test_value_error(self, grid, tol, match):
+        grid = np.array(grid, dtype=float)
+        space = build_space(HilbertSpec(1, 2))
+        psi = space.basis_state("e", 0, 0)
+        with pytest.raises(ValueError, match=match):
+            lindblad_propagate(hamiltonian_ideal(self.P, space), collapse_set(self.P, None, space),
+                               np.outer(psi, psi.conj()), grid, tol=tol)
+        with pytest.raises(ValueError, match=match):
+            single_photon_response(self.P, PulseSpec.from_tau(tau=30.0, center_time=135.0), grid,
+                                   spec=HilbertSpec(1, 2), tol=tol)
+
+
+class TestCompactDOP853:
+    """spt.dynamics._CompactDOP853 on a compact state replays scipy's DOP853
+    on the full state bit for bit."""
+
+    @staticmethod
+    def _problem(n):
+        """A random sparse linear ODE dy/dt = A y + exp(-4 (t - 10)^2) b of
+        length n, and its kept entries: the dropped ones (a third, none of the
+        last four) have zero rows of A, zero b and start at zero, so they stay
+        exactly zero."""
+        rng = np.random.default_rng(n)
+        keep = np.sort(np.concatenate([
+            rng.choice(n - 4, size=2 * (n - 4) // 3, replace=False), np.arange(n - 4, n)]))
+        held = np.zeros(n, dtype=bool)
+        held[keep] = True
+
+        def draw(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        a = 0.3 * (rng.random((n, n)) < 0.05) * draw(n, n) - np.eye(n)
+        a[~held] = 0.0
+        a = sparse.csr_matrix(a)
+        b = np.where(held, draw(n), 0.0)
+        y0 = np.where(held, draw(n), 0.0)
+        return (lambda t, y: a @ y + np.exp(-4.0 * (t - 10.0) ** 2) * b), y0, keep
+
+    @pytest.mark.parametrize("n", [160, 162, 168, 170])   # 0, 2, 8 and 10 (mod 16)
+    def test_bitwise_equal_to_full_state_dop853(self, n):
+        # n x 16 stage entries stay below OpenBLAS's threading threshold, so
+        # the BLAS thread count does not matter here
+        fun, y0, keep = self._problem(n)
+        layout = spt.dynamics._CompactLayout.of(keep, n)
+        grid = np.linspace(0.0, 20.0, 41)
+        ys, nfev, steps = spt.dynamics._grid_solve(fun, grid, y0, 1e-9, 1e-13, keep)
+        ys_c, nfev_c, steps_c = spt.dynamics._grid_solve(
+            lambda t, y: layout.compact(fun(t, layout.full(y))), grid, layout.compact(y0),
+            1e-9, 1e-13, layout.positions(keep), layout=layout)
+        assert ys_c.tobytes() == ys.tobytes()
+        assert (nfev_c, steps_c) == (nfev, steps)
+        assert steps[0] > 20 and steps[1] > 0
+        assert len(layout.slots) < n and len(layout.slots) % 16 == n % 16
+
+    def test_layout_round_trip(self):
+        _, y0, keep = self._problem(170)
+        layout = spt.dynamics._CompactLayout.of(keep, 170)
+        assert layout.full(layout.compact(y0)).tobytes() == y0.tobytes()
+        assert np.array_equal(layout.compact(y0)[layout.positions(keep)], y0[keep])
 
 
 def _lindblad_cases():
