@@ -87,6 +87,8 @@ class EigenPropagator:
                * np.linalg.norm(np.eye(self.dim) - self.evecs @ self.inv, 2))
         self._margin = (_MARGIN_SAFETY * 2 * (self.dim + 4) * rounding,
                         _MARGIN_SAFETY * 2 * (np.abs(self.evals).max() * rounding + eta))
+        # third_derivative's rounding, relative to the squared norm
+        self._jerk_rounding = _MARGIN_SAFETY * 8 * np.abs(self.evals).max() ** 3 * rounding
 
     def coeffs(self, psi: np.ndarray) -> np.ndarray:
         return self.inv @ psi
@@ -103,6 +105,18 @@ class EigenPropagator:
         w = np.exp(-1j * self.evals * dt) * z0
         gw = self.gram @ w
         return float(np.vdot(w, gw).real), 2.0 * float(np.vdot(gw, -1j * self.evals * w).real)
+
+    def third_derivative(self, z0: np.ndarray) -> float:
+        """d^3/dt^3 ||psi||^2 at 0, from two Gram-matrix products:
+        2 Re[(G w0)^dag w3] + 6 Re[(G w1)^dag w2], w_k = (-i lambda)^k z0;
+        0.0 when it is within its rounding bound of 0."""
+        g0 = self.gram @ z0
+        w1 = -1j * self.evals * z0
+        w2 = -1j * self.evals * w1
+        jerk = 2.0 * float(np.vdot(g0, -1j * self.evals * w2).real
+                           + 3.0 * np.vdot(self.gram @ w1, w2).real)
+        scale = float(np.vdot(z0, g0).real)
+        return jerk if abs(jerk) > self._jerk_rounding * scale else 0.0
 
     def margin(self, span: float) -> float:
         """Twice the most by which norm_sq on [0, span], relative to the squared
@@ -219,6 +233,8 @@ def _jump_time(prop: EigenPropagator, z0: np.ndarray, span: float, u: float,
     root: norm_sq(a) >= u + m and norm_sq(b) < u - m with m = prop.margin(c), and
     norm_sq(c) < u - prop.margin(span) at a far point c >= b.  The exact norm
     never rises, so a midpoint outside the window decides as a call would.
+    Newton only places the window, so its first step from a flat start, taken
+    from the third derivative of the norm, changes the step count and no bit.
     """
     def norm_sq(s):
         stats["norm_evals"] += 1
@@ -240,6 +256,13 @@ def _jump_time(prop: EigenPropagator, z0: np.ndarray, span: float, u: float,
                 <= n0 * prop.margin(s) / 4 * abs(s - s_prev)):
             root = nxt
             break
+        if s == 0.0 and not lo < nxt < hi:
+            # a flat start, as from |e,0,0> or |g,0,0>, would only bisect.  Every
+            # collapse operator annihilates such a state, so n'(0) = n''(0) = 0 and
+            # log(n / u) ~ log_ratio + n'''(0) s^3 / (6 n): step to that root
+            jerk = prop.third_derivative(z0)
+            if jerk < 0:
+                nxt = (6.0 * n * log_ratio / -jerk) ** (1.0 / 3.0)
         s_prev, dn_prev = s, dn
         s = nxt if lo < nxt < hi else 0.5 * (lo + hi)
     a, b = -math.inf, math.inf

@@ -1,6 +1,9 @@
+import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,9 +18,9 @@ from spt.hilbert import HilbertSpec, build_space
 from spt.model import (CollapseSet, DecoherenceParams, SystemParams, collapse_set,
                        hamiltonian_ideal, nonhermitian)
 from spt.dynamics import (PulseSpec, SinglePhotonResult, SteadyStateError, TimeSeries,
-                          fork_map, gain_and_bandwidth, gaussian_pulse, lindblad_propagate,
-                          liouvillian, pool_workers, reflection_sweep, single_photon_response,
-                          steady_state, steady_state_reflection)
+                          fork_call, fork_map, gain_and_bandwidth, gaussian_pulse,
+                          lindblad_propagate, liouvillian, pool_workers, reflection_sweep,
+                          single_photon_response, steady_state, steady_state_reflection)
 from spt.effective import reflection_analytic, setting_rate
 
 
@@ -46,6 +49,21 @@ class TestPulse:
         n1 = np.trapezoid(gaussian_pulse(spec, t1) ** 2, t1)
         n2 = np.trapezoid(gaussian_pulse(spec, t2) ** 2, t2)
         assert abs(n1 - n2) < 1e-7
+
+    @given(sigma=st.floats(1e-3, 10.0), center=st.floats(-1e3, 1e3),
+           offset=st.floats(-12.0, 12.0))
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_route_bitwise(self, sigma, center, offset):
+        # a float takes the scalar route; a 0-d array, and the formula as it
+        # was before the constants moved to PulseSpec, take the array route
+        spec = PulseSpec(sigma=sigma, center_time=center)
+        t = center + offset / sigma
+        value = gaussian_pulse(spec, t)
+        t0d = np.asarray(t)
+        formula = (2.0 * sigma**2 / np.pi) ** 0.25 * np.exp(-(sigma**2) * (t0d - center) ** 2)
+        assert type(value) is np.float64
+        assert value.tobytes() == gaussian_pulse(spec, t0d).tobytes() == formula.tobytes()
+        assert gaussian_pulse(spec, np.float64(t)).tobytes() == value.tobytes()
 
     def test_remaining_norm(self):
         spec = PulseSpec(sigma=0.5, center_time=2.0)
@@ -204,6 +222,17 @@ class TestForkMap:
             fork_map(fn, 6, 2)
         assert f"pid {os.getpid()}" not in str(exc.value)
 
+    def test_nested_call_runs_serially_in_a_worker(self):
+        # a pool worker is daemonic and may not fork: the inner call is serial
+        def outer(i):
+            return fork_map(lambda j: (10 * i + j, os.getpid()), 3, 2)
+
+        results = fork_map(outer, 2, 2)
+        assert [[r[0] for r in inner] for inner in results] == [[0, 1, 2], [10, 11, 12]]
+        for inner in results:
+            assert len({r[1] for r in inner}) == 1 and inner[0][1] != os.getpid()
+        assert spt.dynamics._in_pool_worker() is False
+
     @pytest.mark.parametrize("threads", [0, -3])
     def test_fewer_than_one_worker_is_value_error(self, threads):
         with pytest.raises(ValueError, match="threads must be at least 1"):
@@ -235,6 +264,72 @@ class TestForkMap:
                 env={**os.environ, "OPENBLAS_NUM_THREADS": str(n), "PYTHONPATH": src},
                 capture_output=True, text=True, timeout=60, check=True)
             assert out.stdout.strip() == str(n)
+
+
+class TestForkCall:
+    @staticmethod
+    def pid_and_wait(path, seconds=0.0):
+        def fn():
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(str(os.getpid()))
+            time.sleep(seconds)
+            return os.getpid()
+        return fn
+
+    @staticmethod
+    def wait_for(path):
+        deadline = time.monotonic() + 30.0
+        while not path.exists():
+            assert time.monotonic() < deadline, "the child did not start"
+            time.sleep(0.01)
+
+    @staticmethod
+    def assert_gone(pid):
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+    def test_runs_in_a_child_alongside_the_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(spt.dynamics, "pool_workers", lambda threads: 2)
+        path = tmp_path / "pid"
+        with fork_call(self.pid_and_wait(path, 0.3)) as collect:
+            self.wait_for(path)          # the child starts before the block ends
+            child = collect()
+        assert child != os.getpid()
+        self.assert_gone(child)
+
+    @pytest.mark.parametrize("workers, in_pool_worker", [(1, False), (2, True)])
+    def test_serial_at_one_worker_or_in_a_worker(self, tmp_path, workers, in_pool_worker,
+                                                 monkeypatch):
+        monkeypatch.setattr(spt.dynamics, "pool_workers", lambda threads: workers)
+        monkeypatch.setattr(spt.dynamics, "_in_pool_worker", lambda: in_pool_worker)
+        with fork_call(self.pid_and_wait(tmp_path / "pid")) as collect:
+            assert not (tmp_path / "pid").exists()   # called by collect, not before
+            assert collect() == os.getpid()
+
+    def test_child_exception_keeps_its_type(self, monkeypatch):
+        monkeypatch.setattr(spt.dynamics, "pool_workers", lambda threads: 2)
+
+        def fail():
+            raise SteadyStateError(f"failed in pid {os.getpid()}")
+
+        with pytest.raises(SteadyStateError, match="failed in pid") as exc:
+            with fork_call(fail) as collect:
+                collect()
+        child = int(str(exc.value).split()[-1])
+        assert child != os.getpid()
+        self.assert_gone(child)
+
+    def test_a_raise_in_the_block_ends_the_child(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(spt.dynamics, "pool_workers", lambda threads: 2)
+        path = tmp_path / "pid"
+        start = time.monotonic()
+        with pytest.raises(KeyError):
+            with fork_call(self.pid_and_wait(path, 60.0)):
+                self.wait_for(path)
+                raise KeyError("in the caller")
+        assert time.monotonic() - start < 30.0
+        self.assert_gone(int(path.read_text(encoding="utf-8")))
 
 
 class TestReflectionSweep:
@@ -306,6 +401,9 @@ class TestSinglePhoton:
         assert np.all(i_out >= -1e-12)
 
     def test_diagnostics(self, monkeypatch):
+        # the absorption's RHS calls are counted here, so it must run in this
+        # process: TestConcurrentAbsorption covers rhs_evals on the forked path
+        monkeypatch.setattr(spt.dynamics, "pool_workers", lambda threads: 1)
         calls = {"hierarchy": 0, "absorption": 0}
         hierarchy_rhs = spt.dynamics._hierarchy_rhs
 
@@ -606,6 +704,73 @@ class TestKeptEntries:
         # the full-grid route peaked at 164.5 MiB here: two 84 MB copies of the full states
         assert peak <= 30 * 2**20, f"{peak / 2**20:.1f} MiB"
         assert res.final_rho.base is None
+
+
+class TestConcurrentAbsorption:
+    """single_photon_response solves the first-click absorption in a forked
+    child while the hierarchy steps in the caller; every output, diagnostic
+    included, must be the serial path's bit for bit."""
+
+    p = SystemParams(g1=0.3, g2=1, omega=2, kappa1=0.18, kappa2=1)   # kappa1 ~ Gamma_set
+    pulse = PulseSpec.from_tau(tau=6.0 / 0.18, center_time=4.5 * 6.0 / 0.18)
+
+    def run(self, spec, dec, workers, absorption=None):
+        """(result, pid that solved the absorption) with ``pool_workers`` at
+        ``workers``."""
+        grid = np.linspace(0.0, 9.0 * self.pulse.tau, 60)
+        absorption = absorption or spt.dynamics._first_click_absorption
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            path = os.path.join(tmp, "pid")
+
+            def recorded(*args):
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(str(os.getpid()))
+                return absorption(*args)
+
+            mp.setattr(spt.dynamics, "pool_workers", lambda threads: workers)
+            mp.setattr(spt.dynamics, "_first_click_absorption", recorded)
+            res = single_photon_response(self.p, self.pulse, grid, spec=spec, decoherence=dec,
+                                         tol=1e-7)
+            with open(path, encoding="utf-8") as fh:
+                return res, int(fh.read())
+
+    def check_same_bits(self, spec, dec):
+        forked, child = self.run(spec, dec, 2)
+        serial, caller = self.run(spec, dec, 1)
+        assert caller == os.getpid() != child
+        TestForkCall.assert_gone(child)
+        _assert_same_bits(forked, serial)
+        assert forked.steps == serial.steps
+        assert forked.absorbed_fraction > 0.9
+
+    def check_child_error(self):
+        def fail(*args):
+            raise SteadyStateError(f"absorption failed in pid {os.getpid()}")
+
+        with pytest.raises(SteadyStateError, match="absorption failed in pid") as exc:
+            self.run(HilbertSpec(1, 4), None, 2, absorption=fail)
+        child = int(str(exc.value).split()[-1])
+        assert child != os.getpid()
+        TestForkCall.assert_gone(child)
+
+    @pytest.mark.parametrize("spec, dec", [
+        (HilbertSpec(1, 4), None), (HilbertSpec(1, 4), "_DEC"), (HilbertSpec(1, 10), None)])
+    def test_bitwise_equal_to_serial_at_one_blas_thread(self, spec, dec):
+        _at_one_blas_thread(f"TestConcurrentAbsorption().check_same_bits({spec!r}, {dec})")
+
+    def test_child_exception_reaches_the_caller_at_one_blas_thread(self):
+        _at_one_blas_thread("TestConcurrentAbsorption().check_child_error()")
+
+    def test_serial_in_a_pool_worker(self):
+        # a daemonic worker may not fork, so the absorption runs in the worker
+        def one(i):
+            res, pid = TestConcurrentAbsorption().run(HilbertSpec(1, 2), None, 2)
+            return res.absorbed_fraction, res.rhs_evals, pid == os.getpid()
+
+        serial, _ = self.run(HilbertSpec(1, 2), None, 1)
+        for absorbed, evals, in_worker in fork_map(one, 2, 2):
+            assert in_worker
+            assert (absorbed, evals) == (serial.absorbed_fraction, serial.rhs_evals)
 
 
 class TestGridSolve:

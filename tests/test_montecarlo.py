@@ -185,6 +185,33 @@ class TestJumpTimeSearch:
         searches = sum(len(t.jumps) for t in forced)
         assert sum(t.search_fallbacks for t in forced) == (searches if patch == "no-newton" else 0)
 
+    def test_flat_start_takes_fewer_newton_steps(self, monkeypatch):
+        # from |e,0,0> the norm starts flat (n' = n'' = 0), so Newton's first
+        # step is undefined; the third-order start replaces the halvings of
+        # [0, span] that would follow, and the certified window keeps every bit
+        space, cols, h_nh, init, duration, _, pulse = _SEARCH_CASES["e00"]()
+        case = (space, cols, h_nh, init, duration, 100, pulse)
+        fast = self._ensemble(case, 11)
+        with monkeypatch.context() as m:
+            m.setattr(EigenPropagator, "third_derivative", lambda self, z0: 0.0)
+            halving = self._ensemble(case, 11)
+        assert [t.jumps for t in fast] == [t.jumps for t in halving]
+        assert sum(t.search_fallbacks for t in fast) == 0
+        saved = sum(t.newton_steps for t in halving) - sum(t.newton_steps for t in fast)
+        assert saved >= 4 * 100, saved      # 12-14 steps a flat search before, 7 now
+
+    def test_third_derivative(self):
+        space, _, h_nh = _ideal(HilbertSpec(1, 4))
+        prop = EigenPropagator(h_nh)
+        h = 2e-3
+        for psi in (space.basis_state("e", 0, 0), space.basis_state("g", 1, 0)):
+            z0 = prop.coeffs(psi)
+            n = {k: prop.norm_sq(z0, k * h) for k in (-2, -1, 1, 2)}
+            central = (n[2] - 2 * n[1] + 2 * n[-1] - n[-2]) / (2 * h**3)
+            assert prop.third_derivative(z0) == pytest.approx(central, rel=1e-3)
+        # |g,0,0> is dark: every derivative is 0, and rounding is reported as 0
+        assert prop.third_derivative(prop.coeffs(space.basis_state("g", 0, 0))) == 0.0
+
     def test_trajectory_built_without_diagnostics(self):
         tr = mc.Trajectory(jumps=[], initial_state_label="custom", duration=1.0, seed=(0, 0),
                            final_norm_accounting=1.0)
