@@ -327,6 +327,8 @@ _BOUNDS = {
     "tau_kappa1": (lambda v: 0 < v < math.inf, "finite and > 0"),
     "tol": (lambda v: 0 < v < 1, "in (0, 1)"),
     "threads": (lambda v: v is None or v >= 1, "at least 1"),
+    # Philox takes the seed as a 64-bit key word (montecarlo.trajectory_rng)
+    "seed": (lambda v: -2**63 <= v < 2**63, "in [-2**63, 2**63)"),
 }
 
 

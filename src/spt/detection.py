@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .montecarlo import trajectory_rng
+
 
 @dataclass
 class DetectionParams:
@@ -118,8 +120,10 @@ def sample_observable(
 
     Each mode contributes |g_k + s_k|^2 with g_k standard complex Gaussian
     (vacuum) and coherent amplitudes s_k spread evenly so sum |s_k|^2 = 2 N.
+    The samples come from the Philox stream (seed, 0), so ValueError for a
+    seed outside [-2**63, 2**63).
     """
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    rng = trajectory_rng(seed, 0)
     g = (rng.standard_normal((n_samples, modes))
          + 1j * rng.standard_normal((n_samples, modes))) / math.sqrt(2.0)
     s = math.sqrt(2.0 * gain / modes) if gain > 0 else 0.0

@@ -5,9 +5,11 @@ comes when the squared norm of the (exact) eigendecomposition propagator falls
 through a uniform threshold u.  Its time is the one a bisection to 1e-10
 relative width returns, bit for bit, found with a fifth of the norm
 evaluations: bracketed Newton on log ||psi||^2 - log u, one Gram-matrix
-product a step, then a bisection replay that evaluates the norm only inside a
-window around the root that a few evaluations certify (`_jump_time`).  Jump
-channels are drawn with probabilities <psi|C_j^dag C_j|psi>.
+product a step on the state's live eigencomponents alone (|z_k| above 1e-13 of
+the largest; the rest are the rounding of the coefficients), then a bisection
+replay that evaluates the norm only inside a window around the root that a few
+evaluations certify (`_jump_time`).  Jump channels are drawn with probabilities
+<psi|C_j^dag C_j|psi>, by Generator.choice's own steps (`_channel`).
 
 Single-photon input follows the wavepacket-norm bookkeeping: the total norm is
 the internal amplitude norm plus the remaining input-tail integral.  The
@@ -51,13 +53,23 @@ _MARGIN_SAFETY = 2.0     # factor on the rounding and norm-growth bound of the m
 _NEWTON_STEPS = 60       # Newton steps after which every midpoint is evaluated
 _NEWTON_TOL = 1e-6       # |log(norm / u)| below which a Newton step may be the root
 _WIDENINGS = 4           # window sizes tried, each 4 times the last
+_LIVE = 1e-13            # |z_k| / max|z| above which Newton keeps an eigencomponent
 _PULSE_TAIL_CUTOFF = 1e-12
 _EPS = np.finfo(float).eps
 
 
 def trajectory_rng(base_seed: int, index: int) -> np.random.Generator:
-    """Counter-based per-trajectory stream; independent of worker scheduling."""
-    return np.random.Generator(np.random.Philox(key=[int(base_seed), int(index)]))
+    """Counter-based per-trajectory stream; independent of worker scheduling.
+
+    (base_seed, index) are Philox's two 64-bit key words.  ValueError for a seed
+    outside [-2**63, 2**63): numpy refuses one below with an OverflowError, and
+    builds the key of one from 2**63 up through a float64 array, so that
+    neighbouring seeds share a stream.
+    """
+    base_seed, index = int(base_seed), int(index)
+    if not -2**63 <= base_seed < 2**63:
+        raise ValueError(f"seed must be in [-2**63, 2**63), got {base_seed}")
+    return np.random.Generator(np.random.Philox(key=[base_seed, index]))
 
 
 class EigenPropagator:
@@ -89,31 +101,41 @@ class EigenPropagator:
                         _MARGIN_SAFETY * 2 * (np.abs(self.evals).max() * rounding + eta))
         # third_derivative's rounding, relative to the squared norm
         self._jerk_rounding = _MARGIN_SAFETY * 8 * np.abs(self.evals).max() ** 3 * rounding
+        self._rot = -1j * self.evals    # each eigencomponent's rate, d z_k / dt = -i lambda_k z_k
 
+    # the jump loop writes its matrix-vector products M.dot(x): the same BLAS
+    # gemv call as M @ x, so the same bits, with less dispatch per call
     def coeffs(self, psi: np.ndarray) -> np.ndarray:
-        return self.inv @ psi
+        return self.inv.dot(psi)
 
     def state(self, z0: np.ndarray, dt: float) -> np.ndarray:
-        return self.evecs @ (np.exp(-1j * self.evals * dt) * z0)
+        return self.evecs.dot(np.exp(self._rot * dt) * z0)
 
     def norm_sq(self, z0: np.ndarray, dt: float) -> float:
-        v = self.state(z0, dt)
-        return float(np.real(np.vdot(v, v)))
+        v = self.evecs.dot(np.exp(self._rot * dt) * z0)
+        return float(np.vdot(v, v).real)
 
-    def norm_and_slope(self, z0: np.ndarray, dt: float) -> tuple[float, float]:
-        """||psi(dt)||^2 and its time derivative, from one Gram-matrix product."""
-        w = np.exp(-1j * self.evals * dt) * z0
-        gw = self.gram @ w
-        return float(np.vdot(w, gw).real), 2.0 * float(np.vdot(gw, -1j * self.evals * w).real)
+    def live(self, z0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(z, -i lambda, Gram block) on the components with |z_k| > 1e-13 max|z|.
+
+        The others are 0 or the rounding of ``coeffs``: after a jump at (2,16)
+        about 100 of the 153, at 1e-13 to 1e-18 of the largest or exactly 0.
+        """
+        mag = np.abs(z0)
+        keep = np.flatnonzero(mag > _LIVE * mag.max())
+        if len(keep) == self.dim:
+            return z0, self._rot, self.gram
+        # rows, then columns: one gather through np.ix_ costs more than both
+        return z0[keep], self._rot[keep], self.gram.take(keep, 0).take(keep, 1)
 
     def third_derivative(self, z0: np.ndarray) -> float:
         """d^3/dt^3 ||psi||^2 at 0, from two Gram-matrix products:
         2 Re[(G w0)^dag w3] + 6 Re[(G w1)^dag w2], w_k = (-i lambda)^k z0;
         0.0 when it is within its rounding bound of 0."""
         g0 = self.gram @ z0
-        w1 = -1j * self.evals * z0
-        w2 = -1j * self.evals * w1
-        jerk = 2.0 * float(np.vdot(g0, -1j * self.evals * w2).real
+        w1 = self._rot * z0
+        w2 = self._rot * w1
+        jerk = 2.0 * float(np.vdot(g0, self._rot * w2).real
                            + 3.0 * np.vdot(self.gram @ w1, w2).real)
         scale = float(np.vdot(z0, g0).real)
         return jerk if abs(jerk) > self._jerk_rounding * scale else 0.0
@@ -233,19 +255,27 @@ def _jump_time(prop: EigenPropagator, z0: np.ndarray, span: float, u: float,
     root: norm_sq(a) >= u + m and norm_sq(b) < u - m with m = prop.margin(c), and
     norm_sq(c) < u - prop.margin(span) at a far point c >= b.  The exact norm
     never rises, so a midpoint outside the window decides as a call would.
-    Newton only places the window, so its first step from a flat start, taken
-    from the third derivative of the norm, changes the step count and no bit.
+    Newton only places the window, so it runs on the live eigencomponents
+    alone (``prop.live``), and its first step from a flat start, taken from the
+    third derivative of the norm, changes the step count and no bit.
     """
+    norm_evals = newton_steps = 0
+
     def norm_sq(s):
-        stats["norm_evals"] += 1
+        nonlocal norm_evals
+        norm_evals += 1
         return prop.norm_sq(z0, s)
 
-    # Newton on log norm - log u from s = 0, bisecting [lo, hi] when a step leaves it
+    # Newton on log norm - log u from s = 0, bisecting [lo, hi] when a step leaves
+    # it; the norm and its slope from one Gram-matrix product on the live block
+    z, rot, gram = prop.live(z0)
     lo, hi, s, n0, root = 0.0, span, 0.0, None, None
     s_prev = dn_prev = math.nan
     for _ in range(_NEWTON_STEPS):
-        stats["newton_steps"] += 1
-        n, dn = prop.norm_and_slope(z0, s)
+        newton_steps += 1
+        w = np.exp(rot * s) * z
+        gw = gram.dot(w)
+        n, dn = float(np.vdot(w, gw).real), 2.0 * float(np.vdot(gw, rot * w).real)
         n0 = n if n0 is None else n0          # margins are relative to the norm at 0
         lo, hi = (s, hi) if n >= u else (lo, s)
         log_ratio = math.log(n / u) if n > 0 else -math.inf
@@ -279,13 +309,32 @@ def _jump_time(prop: EigenPropagator, z0: np.ndarray, span: float, u: float,
     else:
         stats["search_fallbacks"] += 1
     lo, hi = 0.0, span
-    while hi - lo > _TIME_REFINE * max(hi, 1e-6):
+    while hi - lo > _TIME_REFINE * (hi if hi > 1e-6 else 1e-6):   # max(hi, 1e-6), no call
         mid = 0.5 * (lo + hi)
         if mid <= a or (mid < b and norm_sq(mid) >= u):
             lo = mid
         else:
             hi = mid
+    stats["norm_evals"] += norm_evals
+    stats["newton_steps"] += newton_steps
     return 0.5 * (lo + hi)
+
+
+def _channel(rates: np.ndarray, rng: np.random.Generator) -> int | None:
+    """Index drawn with probabilities rates / sum(rates), None when they sum to 0.
+
+    Generator.choice(len(rates), p=rates / sum)'s own steps: the same index from
+    the same one draw of the stream, without its checks.  ValueError on rates
+    that are not finite, as choice raises on them.
+    """
+    tot = rates.sum()
+    if tot <= 0:
+        return None
+    if not math.isfinite(tot):
+        raise ValueError(f"jump rates must be finite, got {rates}")
+    cdf = (rates / tot).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _parse_init(init, space: HilbertSpace):
@@ -358,20 +407,18 @@ def run_trajectory(
     stats: Counter = Counter()
 
     def total_norm_sq(vec, q_, time_):
-        n = float(np.real(np.vdot(vec, vec)))
+        n = float(np.vdot(vec, vec).real)
         if q_ > 0:
             n += q_ * q_ * pulse.remaining_norm(time_)
         return n
 
     def do_jump(vec, q_, time_):
-        jumped = [c @ vec for c in mats]
+        jumped = [c.dot(vec) for c in mats]
         if q_ > 0:
             jumped[k1_idx] = jumped[k1_idx] + q_ * float(gaussian_pulse(pulse, time_)) * g00
-        rates = np.array([float(np.real(np.vdot(cv, cv))) for cv in jumped])
-        tot = rates.sum()
-        if tot <= 0:
+        k = _channel(np.array([np.vdot(cv, cv).real for cv in jumped]), rng)
+        if k is None:
             return None
-        k = int(rng.choice(len(rates), p=rates / tot))
         cv = jumped[k] / np.linalg.norm(jumped[k])
         jumps.append((time_, labels[k]))
         if on_jump is not None:

@@ -298,10 +298,20 @@ class TestExperiments:
         (["trajectories", "--threads", "-3"], "--threads"),
         (["dark-counts", "--anharmonicity", "40", "--threads", "0"], "--threads"),
         (["reflection", "--threads", "0"], "--threads"),
+        (["trajectories", "--seed", str(2**64)], "--seed"),
+        (["trajectories", "--seed", str(2**63)], "--seed"),
+        (["dark-counts", "--anharmonicity", "40", "--seed", str(-2**63 - 1)], "--seed"),
+        (["detection", "--sample", "10", "--seed", str(2**64 - 1)], "--seed"),
     ])
     def test_out_of_range_option_is_config_error(self, argv, flag, capsys):
         assert main(argv) == 2
         assert f"config error: {flag} must be" in capsys.readouterr().err
+
+    def test_out_of_range_seed_in_config_is_config_error(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"seed": 2**64}))
+        assert main(["--config", str(conf), "trajectories"]) == 2
+        assert "--seed must be in [-2**63, 2**63)" in capsys.readouterr().err
 
     def test_mistyped_option_in_config_is_config_error(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"

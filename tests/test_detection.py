@@ -29,6 +29,18 @@ class TestMoments:
         obs = sample_observable(90, 200.0, n_samples=50_000, seed=4)
         assert obs.mean() == pytest.approx(490.0, rel=0.01)
 
+    @pytest.mark.parametrize("seed", [-2**63 - 1, 2**63, 2**64])
+    def test_sampler_seed_outside_64_bits_is_value_error(self, seed):
+        with pytest.raises(ValueError, match="seed must be in"):
+            sample_observable(3, 0.0, n_samples=10, seed=seed)
+
+    def test_sampler_stream_is_philox_seed_zero(self):
+        # the sampler draws from Philox keyed by (seed, 0)
+        rng = np.random.Generator(np.random.Philox(key=[12, 0]))
+        g = (rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))) / np.sqrt(2.0)
+        assert np.array_equal(sample_observable(3, 0.0, n_samples=5, seed=12),
+                              np.sum(np.abs(g) ** 2, axis=1))
+
     def test_detectability_condition(self):
         assert detectability_margin(200, 90) == pytest.approx(400 / np.sqrt(90))
 

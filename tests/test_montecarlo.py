@@ -6,9 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import solve_ivp
 
+import frozen_trajectory
 import spt.montecarlo as mc
 from spt.hilbert import HilbertSpec, build_space
 from spt.model import (CollapseSet, SystemParams, collapse_set, hamiltonian_finite_A,
@@ -88,6 +91,20 @@ class TestRunTrajectory:
         c = trajectory_rng(123, 0).random(4)
         assert not np.allclose(a, b)
         assert np.array_equal(a, c)
+
+    @pytest.mark.parametrize("seed", [-2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64])
+    def test_seed_outside_64_bits_is_value_error(self, seed):
+        # below -2**63 numpy raised OverflowError; from 2**63 up it built the key
+        # through a float64 array, so 2**63 and 2**63 + 1 shared a stream
+        with pytest.raises(ValueError, match=r"seed must be in \[-2\*\*63, 2\*\*63\)"):
+            trajectory_rng(seed, 0)
+
+    @pytest.mark.parametrize("seed, neighbour", [(-2**63, -2**63 + 1), (-1, 0),
+                                                 (2**63 - 1, 2**63 - 2)])
+    def test_seeds_at_the_ends_of_the_range(self, seed, neighbour):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # numpy warned when it cast a key through a float
+            assert trajectory_rng(seed, 0).random() != trajectory_rng(neighbour, 0).random()
 
 
 def _plain_bisection(prop, z0, span, u, stats):
@@ -212,10 +229,72 @@ class TestJumpTimeSearch:
         # |g,0,0> is dark: every derivative is 0, and rounding is reported as 0
         assert prop.third_derivative(prop.coeffs(space.basis_state("g", 0, 0))) == 0.0
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", sorted(_SEARCH_CASES))
+    def test_jumps_and_norms_equal_the_frozen_loop(self, name, threads):
+        space, cols, h_nh, init, duration, n_traj, pulse = _SEARCH_CASES[name]()
+        prop = EigenPropagator(h_nh)
+        for seed in (3, 17, 2024):
+            fast = run_ensemble(h_nh, cols, init, duration, n_traj, seed, pulse=pulse,
+                                space=space, threads=threads)
+            path = None if pulse is None else mc.PulsePath(h_nh, cols, space, pulse, 0.0,
+                                                           duration)
+            frozen = [frozen_trajectory.run_trajectory(h_nh, cols, init, duration, (seed, i),
+                                                       pulse=pulse, space=space,
+                                                       propagator=prop, pulse_path=path)
+                      for i in range(n_traj)]
+            assert [t.jumps for t in fast] == [t.jumps for t in frozen]
+            assert ([t.final_norm_accounting for t in fast]
+                    == [t.final_norm_accounting for t in frozen])
+            assert sum(len(t.jumps) for t in fast) > 0
+            assert sum(t.search_fallbacks for t in fast) == 0
+
     def test_trajectory_built_without_diagnostics(self):
         tr = mc.Trajectory(jumps=[], initial_state_label="custom", duration=1.0, seed=(0, 0),
                            final_norm_accounting=1.0)
         assert (tr.norm_evals, tr.newton_steps, tr.search_fallbacks) == (0, 0, 0)
+
+
+def _generator_position(rng):
+    state = rng.bit_generator.state
+    return state["state"]["counter"].tolist(), state["buffer_pos"], state["has_uint32"]
+
+
+# a rate vector mixes zeros, tiny (subnormal) rates and ordinary ones
+_RATE = st.one_of(st.just(0.0), st.floats(0.0, 1e-300), st.floats(0.0, 1e3))
+
+
+class TestChannelDraw:
+    """The inline channel draw is Generator.choice(len(p), p=p) step for step."""
+
+    @given(st.lists(_RATE, min_size=1, max_size=8).filter(lambda r: sum(r) > 0),
+           st.integers(0, 2**63 - 1))
+    @example([0.0, 0.0, 2.5, 0.0], 7)             # one channel open
+    @example([5e-324, 0.0, 1e-310, 5e-324], 3)    # subnormal rates only
+    @example([1e-300, 1e3], 11)
+    def test_same_index_and_stream_position_as_choice(self, rates, seed):
+        rates = np.array(rates)
+        mine, ref = trajectory_rng(seed, 0), trajectory_rng(seed, 0)
+        k = mc._channel(rates, mine)
+        assert k == ref.choice(len(rates), p=rates / rates.sum())
+        assert rates[k] > 0
+        assert _generator_position(mine) == _generator_position(ref)
+
+    def test_no_rate_draws_nothing(self):
+        rng = trajectory_rng(5, 0)
+        before = _generator_position(rng)
+        assert mc._channel(np.zeros(3), rng) is None
+        assert _generator_position(rng) == before
+
+    @pytest.mark.parametrize("rates", [[math.nan, 1.0], [math.inf, 1.0], [1.0, math.inf, math.inf],
+                                       [1e308, 1e308]])
+    def test_rates_that_are_not_finite_raise(self, rates):
+        rates = np.array(rates)
+        with np.errstate(over="ignore", invalid="ignore"):   # the sum overflows; inf / inf
+            with pytest.raises(ValueError, match="jump rates must be finite"):
+                mc._channel(rates, trajectory_rng(5, 0))
+            with pytest.raises(ValueError):
+                trajectory_rng(5, 0).choice(len(rates), p=rates / rates.sum())
 
 
 class _SolveIvpPath:

@@ -4,8 +4,9 @@ The tracer replaces each listed function by name, so a renamed or deleted one
 would stop a traced benchmark run (``--trace 1``) with an AttributeError.  The
 lists are read from the tracer's source; nothing is installed.  One smoke test
 installs the tracer in a subprocess and checks that it still sees every
-trajectory, which it would not if an ensemble stopped calling run_trajectory
-through the montecarlo module.
+trajectory and the exact norm evaluations, which it would not if an ensemble
+stopped calling run_trajectory through the montecarlo module, or the jump loop
+stopped calling EigenPropagator.norm_sq.
 """
 
 import ast
@@ -91,3 +92,7 @@ def test_traced_run_counts_every_trajectory(tmp_path):
     assert after_traj["montecarlo.jumps"] > 0
     assert after_dark["montecarlo.trajectories"] == 3 + 2
     assert after_dark["montecarlo.jumps"] > after_traj["montecarlo.jumps"]
+    # every jump that the eigen path finds takes at least one exact evaluation, counted
+    # only while the jump loop calls EigenPropagator.norm_sq
+    for after in (after_traj, after_dark):
+        assert after["montecarlo.norm_evals"] >= after["montecarlo.jumps"] > 0
