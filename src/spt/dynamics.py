@@ -256,13 +256,23 @@ class TraceFixedSolver:
     The first row of L is replaced by the trace functional, which makes the
     matrix regular when zero is a simple eigenvalue of L (unique steady
     state).  The factorization is made once; every solve reuses it.
+
+    The matrix is assembled on a canonical CSR copy of ``lv`` (any sparse
+    format): its row 0 becomes the ``dim`` trace entries, rows 1... stay as
+    they are.  ValueError unless ``lv`` is (dim^2, dim^2).
     """
 
-    def __init__(self, lv: sparse.csr_matrix, dim: int):
-        a = lv.tolil(copy=True)
-        trace_row = np.zeros(dim * dim)
-        trace_row[:: dim + 1] = 1.0
-        a[0, :] = trace_row
+    def __init__(self, lv: sparse.spmatrix, dim: int):
+        n = dim * dim
+        if lv.shape != (n, n):
+            raise ValueError(f"a dim-{dim} Liouvillian is {n} x {n}, got {lv.shape}")
+        csr = sparse.csr_matrix(lv, copy=True)
+        csr.sum_duplicates()
+        start = csr.indptr[1]
+        a = sparse.csr_matrix(
+            (np.concatenate([np.ones(dim, dtype=csr.dtype), csr.data[start:]]),
+             np.concatenate([np.arange(dim) * (dim + 1), csr.indices[start:]]),
+             np.concatenate([[0], csr.indptr[1:] - start + dim])), shape=(n, n))
         try:
             self._lu = spla.splu(a.tocsc())
         except RuntimeError as exc:  # singular factorization
@@ -426,14 +436,16 @@ def _check_grid(t_grid: np.ndarray, tol: float) -> None:
         raise ValueError(f"tol must be in (0, 1), got {tol!r}")
 
 
-def _grid_solve(fun, t_grid: np.ndarray, y0: np.ndarray, rtol: float, atol: float,
+def _grid_solve(fun, t_grid: np.ndarray, y0: np.ndarray, rtol: float, atol: float, take,
                 rows=slice(None), what: str = "ODE", layout: _CompactLayout | None = None,
-                ) -> tuple[np.ndarray, int, tuple[int, int]]:
+                ) -> tuple[int, tuple[int, int]]:
     """``solve_ivp(fun, (t_grid[0], t_grid[-1]), y0, t_eval=t_grid, method="DOP853")``
-    replayed step for step, storing only ``rows`` of y: (ys, nfev, (accepted,
-    rejected) steps) with ys[:, k] = y(t_grid[k])[rows].  After each step the
-    grid points up to its end (side="right") are read from its dense output, as
-    solve_ivp does, so every stored bit is solve_ivp's.
+    replayed step for step, handing ``rows`` of y on the grid to ``take`` as
+    they are reached; returns (nfev, (accepted, rejected) steps).  After each
+    step the grid points i..j-1 up to its end (side="right") are read from its
+    dense output, as solve_ivp does, and ``take(i, ys)`` gets them, with
+    ys[:, m] = y(t_grid[i + m])[rows]: every bit is solve_ivp's.  Nothing of
+    the grid is kept here; the caller keeps or reduces what it needs.
 
     With a ``layout``, ``fun`` and ``y0`` live on its compact state and
     ``rows`` index it; ``_CompactDOP853`` steps it with the bits of the full
@@ -448,7 +460,6 @@ def _grid_solve(fun, t_grid: np.ndarray, y0: np.ndarray, rtol: float, atol: floa
     problem = (fun, float(t_grid[0]), y0, float(t_grid[-1]))
     solver = (DOP853(*problem, rtol=rtol, atol=atol) if layout is None
               else _CompactDOP853(*problem, rtol, atol, layout))
-    ys = np.empty((len(solver.y[rows]), len(t_grid)), dtype=solver.y.dtype)
     i = accepted = rejected = 0
     while solver.status == "running":
         nfev = solver.nfev
@@ -460,9 +471,9 @@ def _grid_solve(fun, t_grid: np.ndarray, y0: np.ndarray, rtol: float, atol: floa
         rejected += max(tries - 1, 0)
         j = np.searchsorted(t_grid, solver.t, side="right")
         if j > i:
-            ys[:, i:j] = solver.dense_output()(t_grid[i:j])[rows]
+            take(i, solver.dense_output()(t_grid[i:j])[rows])
             i = j
-    return ys, solver.nfev, (accepted, rejected)
+    return solver.nfev, (accepted, rejected)
 
 
 def lindblad_propagate(
@@ -486,7 +497,12 @@ def lindblad_propagate(
     dim = rho0.shape[0]
     lv = liouvillian(h, collapses)
     y0 = rho0.reshape(-1).astype(complex)
-    ys, _, _ = _grid_solve(lambda _t, y: lv @ y, t_grid, y0, tol, tol * 1e-4, what="Lindblad")
+    ys = np.empty((len(y0), len(t_grid)), dtype=complex)
+
+    def take(i, values):
+        ys[:, i:i + values.shape[1]] = values
+
+    _grid_solve(lambda _t, y: lv @ y, t_grid, y0, tol, tol * 1e-4, take, what="Lindblad")
 
     rhos = ys.T.reshape(len(t_grid), dim, dim)
     rhos = 0.5 * (rhos + np.conj(np.swapaxes(rhos, 1, 2)))
@@ -729,7 +745,7 @@ def _hierarchy_rhs(lv: sparse.csr_matrix, space: HilbertSpace, kappa1: float,
     return rhs
 
 
-_CHUNK = 16   # grid points per assembled block in single_photon_response
+_CHUNK = 16   # grid points per reduced block in single_photon_response
 
 
 def single_photon_response(
@@ -759,10 +775,13 @@ def single_photon_response(
     exactly, and the right-hand side evolves only that column (dim entries,
     not dim^2), and rho_11 only on the entries that L and the source can reach
     (1210 of 4356 at (1,10)).  DOP853 steps only those 1276 of the 2 dim^2 =
-    8712 entries, as a compact state (``_CompactDOP853``), and only they are
-    kept on the grid; the full blocks are rebuilt _CHUNK time points at a time
-    for the per-time-point einsums.  Three rules give the compact state the
-    bits, steps and RHS calls of stepping all 2 dim^2 entries:
+    8712 entries, as a compact state (``_CompactDOP853``).  No grid of states
+    is stored: as the solve reaches grid points, their evolved entries fill
+    one block of _CHUNK points, and each block, when full and at the grid's
+    end, is rebuilt into full rho_10 and rho_11 blocks and reduced at once to
+    the output channels by per-time-point einsums.  Three rules give the
+    compact state the bits, steps and RHS calls of stepping all 2 dim^2
+    entries:
 
     * the error norm is taken over the full length: the compact err5/scale
       and err3/scale are scattered into full-length zeros, because numpy's
@@ -833,17 +852,16 @@ def single_photon_response(
         layout = _CompactLayout.of(keep, 2 * nf)
         rhs = _hierarchy_rhs(lv, space, params.kappa1, pulse, support, layout)
 
-        y0 = np.zeros(2 * nf, dtype=complex)
-        y0[nf:] = rho00.reshape(-1)
-        ys, nfev, steps = _grid_solve(rhs, t_grid, layout.compact(y0), tol, tol * 1e-4,
-                                      layout.positions(keep), "single-photon", layout)
-
         obs = {"n2": n2op, "n1": a1.conj().T @ a1,
                **{f"pop_{level}": space.qutrit_projector(level) for level in ("g", "e", "f")}}
         top2 = _top_layer_projectors(space)[1]
         parts = {name: [] for name in ("trace", "a1_rho10", "top", *obs)}
-        for k in range(0, len(t_grid), _CHUNK):
-            chunk = ys[:, k:k + _CHUNK]
+        final_rho = None
+
+        def reduce(chunk):
+            """Append the observables of the grid points in ``chunk`` (kept
+            entries x points) to ``parts``."""
+            nonlocal final_rho
             blk = np.zeros((2 * nf, chunk.shape[1]), dtype=complex)
             blk[keep] = chunk
             rho10 = blk[:nf].T.reshape(-1, dim, dim)
@@ -854,8 +872,26 @@ def single_photon_response(
             parts["top"].append(np.einsum("tii->ti", rho11).real @ top2)
             for name, op in obs.items():
                 parts[name].append(np.einsum("ij,tji->t", op, rho11).real)
+            final_rho = rho11[-1].copy()
+
+        block = np.empty((len(keep), _CHUNK), dtype=complex)
+
+        def take(i, ys):
+            """Copy grid points i, i+1, ... into ``block``, and reduce it at
+            each multiple of _CHUNK and at the grid's end."""
+            while ys.shape[1]:
+                k = i % _CHUNK
+                m = min(_CHUNK - k, ys.shape[1])
+                block[:, k:k + m] = ys[:, :m]
+                i, ys = i + m, ys[:, m:]
+                if i % _CHUNK == 0 or i == len(t_grid):
+                    reduce(block[:, :k + m])
+
+        y0 = np.zeros(2 * nf, dtype=complex)
+        y0[nf:] = rho00.reshape(-1)
+        nfev, steps = _grid_solve(rhs, t_grid, layout.compact(y0), tol, tol * 1e-4, take,
+                                  layout.positions(keep), "single-photon", layout)
         out = {name: np.concatenate(v) for name, v in parts.items()}
-        final_rho = rho11[-1].copy()
 
         drift = np.max(np.abs(out["trace"] - 1.0))
         if drift > 1e-3:

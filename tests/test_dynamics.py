@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853, solve_ivp
@@ -511,14 +512,32 @@ class TestHierarchyColumn:
                                    spec=HilbertSpec(1, 2))
 
 
-def _solve_ivp_grid(fun, t_grid, y0, rtol, atol, rows=slice(None), what="ODE"):
+def _solve_ivp_grid(fun, t_grid, y0, rtol, atol, take, rows=slice(None), what="ODE"):
     """Oracle of ``spt.dynamics._grid_solve``: one solve_ivp call with t_eval
-    (the library's former route), every row of y stored, then ``rows`` kept."""
+    (the library's former route), every row of y stored, then ``rows`` of the
+    whole grid handed to ``take`` at once."""
     sol = solve_ivp(fun, (t_grid[0], t_grid[-1]), y0, t_eval=t_grid,
                     method="DOP853", rtol=rtol, atol=atol)
     if not sol.success:
         raise RuntimeError(f"{what} integration failed: {sol.message}")
-    return sol.y[rows], sol.nfev, None
+    take(0, sol.y[rows])
+    return sol.nfev, None
+
+
+def _collect(solve, fun, t_grid, y0, rtol, atol, rows=slice(None), **kw):
+    """(ys, nfev, steps) of ``solve`` (``_grid_solve`` or its oracle) with
+    ys[:, k] = y(t_grid[k])[rows] stored from its ``take`` calls, each of
+    which must hand on the next grid points in order."""
+    got = []
+
+    def take(i, ys):
+        assert i == sum(y.shape[1] for y in got) and ys.shape[1] > 0
+        got.append(ys)
+
+    nfev, steps = solve(fun, t_grid, y0, rtol, atol, take, rows, **kw)
+    ys = np.concatenate(got, axis=1)
+    assert ys.shape[1] == len(t_grid)
+    return ys, nfev, steps
 
 
 def _full_length_rhs(lv, space, kappa1, pulse, support):
@@ -706,6 +725,213 @@ class TestKeptEntries:
         assert res.final_rho.base is None
 
 
+def _stored_response(params, pulse, t_grid, spec, decoherence, tol):
+    """Oracle: ``single_photon_response`` as it was before it reduced the grid
+    as the solve reached it: the same compact solve, its kept entries stored
+    for the whole grid, then reduced _CHUNK points at a time, the absorption
+    solved in this process.  Returns a SinglePhotonResult."""
+    space = build_space(spec)
+    h = hamiltonian_ideal(params, space)
+    cols = collapse_set(params, decoherence, space)
+    lv = liouvillian(h, cols)
+    dim, nf, chunk_len = space.dim, space.dim ** 2, spt.dynamics._CHUNK
+    a1 = space.annihilation("cavity1")
+    a2 = space.annihilation("cavity2")
+    n2op = a2.conj().T @ a2
+    rho00 = np.outer(space.basis_state("g", 0, 0), space.basis_state("g", 0, 0).conj())
+    support = spt.dynamics._hierarchy_support(lv, space)
+    keep = np.concatenate([support[0], nf + support[2]])
+    layout = spt.dynamics._CompactLayout.of(keep, 2 * nf)
+    rhs = spt.dynamics._hierarchy_rhs(lv, space, params.kappa1, pulse, support, layout)
+    y0 = np.zeros(2 * nf, dtype=complex)
+    y0[nf:] = rho00.reshape(-1)
+    ys, nfev, steps = _collect(spt.dynamics._grid_solve, rhs, t_grid, layout.compact(y0), tol,
+                               tol * 1e-4, layout.positions(keep), layout=layout)
+
+    obs = {"n2": n2op, "n1": a1.conj().T @ a1,
+           **{f"pop_{level}": space.qutrit_projector(level) for level in ("g", "e", "f")}}
+    top2 = spt.dynamics._top_layer_projectors(space)[1]
+    parts = {name: [] for name in ("trace", "a1_rho10", "top", *obs)}
+    for k in range(0, len(t_grid), chunk_len):
+        chunk = ys[:, k:k + chunk_len]
+        blk = np.zeros((2 * nf, chunk.shape[1]), dtype=complex)
+        blk[keep] = chunk
+        rho10 = blk[:nf].T.reshape(-1, dim, dim)
+        rho11 = blk[nf:].T.reshape(-1, dim, dim)
+        rho11 = 0.5 * (rho11 + np.conj(np.swapaxes(rho11, 1, 2)))
+        parts["trace"].append(np.einsum("tii->t", rho11).real)
+        parts["a1_rho10"].append(np.einsum("ij,tji->t", a1, rho10))
+        parts["top"].append(np.einsum("tii->ti", rho11).real @ top2)
+        for name, op in obs.items():
+            parts[name].append(np.einsum("ij,tji->t", op, rho11).real)
+    out = {name: np.concatenate(v) for name, v in parts.items()}
+    final_rho = rho11[-1].copy()
+
+    xi_t = gaussian_pulse(pulse, t_grid)
+    i_in1 = xi_t**2
+    i_out2 = params.kappa2 * out["n2"]
+    i_out1 = np.clip(i_in1 + params.kappa1 * out["n1"] + 2.0 * np.sqrt(params.kappa1) * np.real(
+        xi_t * np.conj(out["a1_rho10"])), 0.0, None)
+    tail = params.kappa2 * spt.dynamics.integrated_observable(lv, final_rho, rho00, n2op)
+    absorbed, absorption_evals = spt.dynamics._first_click_absorption(
+        nonhermitian(h, cols), cols.get("kappa1"), np.sqrt(params.kappa1),
+        space.basis_state("g", 0, 0), space.index("g", 1, 0),
+        pulse, (t_grid[0], t_grid[-1]), max(tol, 1e-9))
+    channels = {"I_in1": i_in1, "I_out1": i_out1, "I_out2": i_out2, "n1": out["n1"],
+                **{name: out[name] for name in ("pop_g", "pop_e", "pop_f")}}
+    return SinglePhotonResult(
+        series=TimeSeries(times=t_grid, channels=channels), absorbed_fraction=absorbed,
+        gain=float(np.trapezoid(i_out2, t_grid)) + tail,
+        n_out1=float(np.trapezoid(i_out1, t_grid)), final_rho=final_rho,
+        rhs_evals=nfev + absorption_evals, steps=steps, top_layer_peak=float(out["top"].max()))
+
+
+class TestStreamedReduction:
+    """single_photon_response reduces each block of _CHUNK grid points as the
+    solve reaches it and stores no grid of states; every output must be bit
+    for bit the store-then-reduce route's, and its memory must not grow with
+    the grid."""
+
+    @staticmethod
+    def cli_point(n2, points):
+        """(params, pulse, grid) of ``spt pulse-response --g1 0.15 --omega 2
+        --kappa2 1 --tau-kappa1 6 --n2 N2 --points P``."""
+        params = SystemParams(g1=0.15, g2=1, omega=2, kappa2=1)
+        gamma_set = setting_rate(params, n2_trunc=n2).value
+        tau = 6.0 / gamma_set
+        return (params.replace(kappa1=gamma_set), PulseSpec.from_tau(tau, 4.5 * tau),
+                np.linspace(0.0, 9.0 * tau, points))
+
+    @pytest.mark.parametrize("n2, points", [
+        (10, 600),    # the benchmark's call
+        (4, 37),      # not a multiple of _CHUNK: a short last block
+        (4, 3000),    # dense: single steps reach points on both sides of a block's end
+    ])
+    def test_bitwise_equal_to_stored_grid_oracle(self, n2, points, monkeypatch):
+        params, pulse, grid = self.cli_point(n2, points)
+        spans, grid_solve = [], spt.dynamics._grid_solve
+
+        def recorded(fun, t_grid, y0, rtol, atol, take, *args, **kw):
+            def take_and_record(i, ys):
+                spans.append((i, ys.shape[1]))
+                take(i, ys)
+            return grid_solve(fun, t_grid, y0, rtol, atol, take_and_record, *args, **kw)
+
+        monkeypatch.setattr(spt.dynamics, "_grid_solve", recorded)
+        res = single_photon_response(params, pulse, grid, spec=HilbertSpec(1, n2), tol=1e-7)
+        monkeypatch.undo()
+        ref = _stored_response(params, pulse, grid, HilbertSpec(1, n2), None, 1e-7)
+        _assert_same_bits(res, ref)
+        assert res.steps == ref.steps and res.steps[0] > 0
+        assert res.gain > 1.0 and res.absorbed_fraction > 0.9   # a non-trivial run
+        chunk = spt.dynamics._CHUNK
+        across = [(i, n) for i, n in spans if i // chunk != (i + n - 1) // chunk]
+        assert sum(n for _, n in spans) == points
+        if points == 3000:
+            assert len(across) > 10
+
+    def test_peak_memory_flat_in_grid_length(self):
+        # the stored grid grew the peak by kept x 16 B a point: 5.6 -> 28.1 MiB here
+        p, pulse = TestKeptEntries.p, TestKeptEntries.pulse
+        spec = HilbertSpec(1, 6)
+        peaks = {}
+        for points in (300, 3000):
+            grid = np.linspace(0.0, 9.0 * pulse.tau, points)
+            tracemalloc.start()
+            try:
+                single_photon_response(p, pulse, grid, spec=spec, tol=1e-6)
+                peaks[points] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        space = build_space(spec)
+        col, _, sup = spt.dynamics._hierarchy_support(
+            liouvillian(hamiltonian_ideal(p, space), collapse_set(p, None, space)), space)
+        stored = (len(col) + len(sup)) * (3000 - 300) * 16
+        assert peaks[3000] - peaks[300] < stored / 10, (peaks, stored)
+
+
+def _lil_trace_fixed(lv, dim):
+    """Oracle: the trace-fixed matrix as ``TraceFixedSolver`` assembled it
+    before it built it from CSR: a LIL copy of ``lv`` with row 0 assigned the
+    trace row, then CSC.  tolil sums ``lv``'s duplicates in place."""
+    a = lv.tolil(copy=True)
+    trace_row = np.zeros(dim * dim)
+    trace_row[:: dim + 1] = 1.0
+    a[0, :] = trace_row
+    return a.tocsc()
+
+
+class _LilTraceFixedSolver(spt.dynamics.TraceFixedSolver):
+    """Oracle: ``TraceFixedSolver``'s solves on the LU of ``_lil_trace_fixed``."""
+
+    def __init__(self, lv, dim):
+        self._lu = spla.splu(_lil_trace_fixed(lv, dim))
+        self.lv, self.dim = lv, dim
+
+
+class TestTraceFixedSolver:
+    """The trace-fixed matrix is assembled from CSR, for any sparse input, as
+    the LIL route assembled it, so every solve has the same bits."""
+
+    space = build_space(HilbertSpec(1, 2))
+    p = SystemParams(g1=0.2, g2=1, omega=1.5, kappa1=0.1, kappa2=0.7)
+
+    def canonical(self):
+        return liouvillian(hamiltonian_ideal(self.p, self.space),
+                           collapse_set(self.p, _DEC, self.space))
+
+    def non_canonical(self):
+        """The canonical CSR with each entry split in two, 0.25 v and 0.75 v,
+        and each row's entries in a random order."""
+        coo = self.canonical().tocoo()
+        rows = np.concatenate([coo.row, coo.row])
+        data = np.concatenate([0.25 * coo.data, 0.75 * coo.data])
+        order = np.lexsort((np.random.default_rng(7).random(len(rows)), rows))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=coo.shape[0]))])
+        lv = sparse.csr_matrix((data[order], np.concatenate([coo.col, coo.col])[order], indptr),
+                               shape=coo.shape)
+        assert not lv.has_canonical_format
+        return lv
+
+    def empty_row0(self):
+        lv = self.canonical().tolil()
+        lv[0, :] = 0.0
+        lv = lv.tocsr()
+        assert lv.indptr[1] == 0
+        return lv
+
+    @pytest.mark.parametrize("make", ["canonical", "csc", "non_canonical", "empty_row0"])
+    def test_same_matrix_and_bits_as_lil_route(self, make, monkeypatch):
+        def build():
+            return self.canonical().tocsc() if make == "csc" else getattr(self, make)()
+
+        factored, splu = [], spla.splu
+        monkeypatch.setattr(spla, "splu", lambda a: factored.append(a) or splu(a))
+        dim = self.space.dim
+        solver = spt.dynamics.TraceFixedSolver(build(), dim)
+        monkeypatch.undo()
+        ref = _lil_trace_fixed(build(), dim)
+        (a,) = factored
+        assert a.format == "csc" and a.shape == ref.shape
+        for name in ("indptr", "indices"):
+            assert np.array_equal(getattr(a, name), getattr(ref, name)), name
+        assert a.data.tobytes() == ref.data.tobytes()
+
+        oracle = _LilTraceFixedSolver(build(), dim)
+        rho_inf = solver.steady_state()
+        assert rho_inf.tobytes() == oracle.steady_state().tobytes()
+        # in the range of the input matrix, whose row 0 may be empty
+        w = np.random.default_rng(3).normal(size=(dim * dim, 2)) @ [1.0, 1j]
+        rhs = build() @ w
+        assert solver.resolvent(rhs).tobytes() == oracle.resolvent(rhs).tobytes()
+
+    @pytest.mark.parametrize("dim", [3, 5])
+    def test_shape_other_than_dim_squared_is_value_error(self, dim):
+        # at dim 3 the CSR route would build a trace row on 3 of 16 columns
+        with pytest.raises(ValueError, match="Liouvillian is"):
+            spt.dynamics.TraceFixedSolver(sparse.identity(16, dtype=complex, format="csr"), dim)
+
+
 class TestConcurrentAbsorption:
     """single_photon_response solves the first-click absorption in a forked
     child while the hierarchy steps in the caller; every output, diagnostic
@@ -786,8 +1012,8 @@ class TestGridSolve:
 
     def _check(self, t_grid, rows=slice(None)):
         fun, y0 = self._problem()
-        ys, nfev, steps = spt.dynamics._grid_solve(fun, t_grid, y0, 1e-8, 1e-12, rows)
-        ref, ref_nfev, _ = _solve_ivp_grid(fun, t_grid, y0, 1e-8, 1e-12, rows)
+        ys, nfev, steps = _collect(spt.dynamics._grid_solve, fun, t_grid, y0, 1e-8, 1e-12, rows)
+        ref, ref_nfev, _ = _collect(_solve_ivp_grid, fun, t_grid, y0, 1e-8, 1e-12, rows)
         assert ys.shape == ref.shape and ys.tobytes() == ref.tobytes()
         assert nfev == ref_nfev and steps[0] > 0 and steps[1] >= 0
         return ys
@@ -820,13 +1046,13 @@ class TestGridSolve:
     def test_rejects_unsorted_grid(self):
         fun, y0 = self._problem()
         with pytest.raises(ValueError, match="increasing"):
-            spt.dynamics._grid_solve(fun, np.array([0.0, 2.0, 1.0]), y0, 1e-8, 1e-12)
+            spt.dynamics._grid_solve(fun, np.array([0.0, 2.0, 1.0]), y0, 1e-8, 1e-12, None)
 
     @pytest.mark.parametrize("grid", [[], [0.0], [0.0, np.nan], [0.0, np.inf], [-np.inf, 0.0]])
     def test_rejects_short_or_non_finite_grid(self, grid):
         fun, y0 = self._problem()
         with pytest.raises(ValueError, match="at least two points, all finite"):
-            spt.dynamics._grid_solve(fun, np.array(grid, dtype=float), y0, 1e-8, 1e-12)
+            spt.dynamics._grid_solve(fun, np.array(grid, dtype=float), y0, 1e-8, 1e-12, None)
 
 
 class TestArguments:
@@ -892,8 +1118,9 @@ class TestCompactDOP853:
         fun, y0, keep = self._problem(n)
         layout = spt.dynamics._CompactLayout.of(keep, n)
         grid = np.linspace(0.0, 20.0, 41)
-        ys, nfev, steps = spt.dynamics._grid_solve(fun, grid, y0, 1e-9, 1e-13, keep)
-        ys_c, nfev_c, steps_c = spt.dynamics._grid_solve(
+        ys, nfev, steps = _collect(spt.dynamics._grid_solve, fun, grid, y0, 1e-9, 1e-13, keep)
+        ys_c, nfev_c, steps_c = _collect(
+            spt.dynamics._grid_solve,
             lambda t, y: layout.compact(fun(t, layout.full(y))), grid, layout.compact(y0),
             1e-9, 1e-13, layout.positions(keep), layout=layout)
         assert ys_c.tobytes() == ys.tobytes()
