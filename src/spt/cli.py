@@ -1,8 +1,8 @@
 """Command-line front end: named experiments emitting CSV/JSON artifacts.
 
-Each experiment writes a deterministic artifact for a given config and seed:
-`#`-prefixed metadata header lines (parameters, truncations, tolerances,
-code version, seed), then a column header row and comma-separated values.
+Each experiment writes a deterministic artifact for a given config and seed,
+in the formats of ``spt.artifacts``; its `#` header lines hold the parameters,
+truncations, tolerances, code version and seed.
 Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
 
@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .artifacts import UnwritablePathError, write_csv, write_json
 from .detection import DetectionParams, detection_performance, roc_sweep, sample_observable
 from .dynamics import PulseSpec, gain_and_bandwidth, reflection_sweep, single_photon_response
 from .effective import (SingularEliminationError, dark_rates_steady,
@@ -53,36 +54,6 @@ def parse_grid(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def write_csv(path, metadata: dict, header: list, rows) -> None:
-    out = sys.stdout if path in (None, "-") else open(path, "w", encoding="utf-8", newline="\n")
-    try:
-        for key in sorted(metadata):
-            out.write(f"# {key}={metadata[key]}\n")
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(x) for x in row) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
-
-
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return "%.12g" % float(x)
-
-
-def write_json(path, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if path in (None, "-"):
-        sys.stdout.write(text + "\n")
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
-
-
 def _conv(args) -> float:
     if args.units != "mhz":
         return 1.0
@@ -106,7 +77,7 @@ def _anharmonicity(args) -> float:
         return math.inf
     try:
         anh = float(args.anharmonicity)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad --anharmonicity {args.anharmonicity!r}") from exc
     if math.isnan(anh):
         raise ConfigError("--anharmonicity must not be nan")
@@ -138,9 +109,8 @@ def _decoherence(args) -> DecoherenceParams | None:
     gamma_p = to_g2_units(args.gamma_phi, conv)
     if gamma == 0 and gamma_p == 0:
         return None
-    dec = DecoherenceParams(gamma_eg=gamma, gamma_fe=2 * gamma,
-                            gamma_p_ee=gamma_p, gamma_p_ff=2 * gamma_p)
-    return dec
+    return DecoherenceParams(gamma_eg=gamma, gamma_fe=2 * gamma,
+                             gamma_p_ee=gamma_p, gamma_p_ff=2 * gamma_p)
 
 
 def _metadata(args, **extra) -> dict:
@@ -172,7 +142,7 @@ def run_setting_rate(args) -> int:
         num = setting_rate(p, n2_trunc=args.n2).value
         ana = [setting_rate_analytic(p, order).value for order in (1, 2, 3)]
         rows.append((k2, num, *ana))
-    write_csv(args.output, _metadata(args, n2=args.n2, experiment="setting-rate"),
+    write_csv(args.output, sorted(_metadata(args, n2=args.n2, experiment="setting-rate").items()),
               ["kappa2", "gamma_set_numeric", "gamma_set_analytic_1",
                "gamma_set_analytic_2", "gamma_set_analytic_3"], rows)
     return 0
@@ -187,7 +157,8 @@ def run_reflection(args) -> int:
                              decoherence=_decoherence(args), threads=args.threads)
     rows = [(k1, r, reflection_analytic(gamma_set, float(k1))) for k1, r in zip(grid, r_num)]
     write_csv(args.output,
-              _metadata(args, n2=args.n2, gamma_set=gamma_set, experiment="reflection"),
+              sorted(_metadata(args, n2=args.n2, gamma_set=gamma_set,
+                               experiment="reflection").items()),
               ["kappa1", "r2_numeric", "r2_analytic"], rows)
     return 0
 
@@ -207,7 +178,8 @@ def run_gain(args) -> int:
         p = params.replace(**{name: float(val)})
         res = gain_and_bandwidth(p, decoherence=dec, n2_trunc=args.n2)
         rows.append((val, res.gain, res.bandwidth))
-    write_csv(args.output, _metadata(args, n2=args.n2, sweep=name, experiment="gain"),
+    write_csv(args.output,
+              sorted(_metadata(args, n2=args.n2, sweep=name, experiment="gain").items()),
               [name, "gain", "bandwidth"], rows)
     return 0
 
@@ -221,10 +193,12 @@ def run_pulse_response(args) -> int:
     grid = np.linspace(0.0, 9.0 * tau, args.points)
     res = single_photon_response(p, pulse, grid, spec=HilbertSpec(1, args.n2),
                                  decoherence=_decoherence(args), tol=args.tol)
-    res.series.metadata = _metadata(args, n2=args.n2, gamma_set=gamma_set, tau=tau,
-                                    absorbed_fraction=res.absorbed_fraction, gain=res.gain,
-                                    experiment="pulse-response")
-    res.series.to_csv(args.output)
+    md = _metadata(args, n2=args.n2, gamma_set=gamma_set, tau=tau,
+                   absorbed_fraction=res.absorbed_fraction, gain=res.gain,
+                   experiment="pulse-response")
+    channels = res.series.channels
+    write_csv(args.output, md.items(), ["time", *channels],
+              zip(res.series.times, *channels.values()))
     return 0
 
 
@@ -273,7 +247,8 @@ def run_dark_counts(args) -> int:
         header += ["single_trajectory", "enhanced_trajectory",
                    "n_events_single", "n_events_enhanced"]
     write_csv(args.output,
-              _metadata(args, experiment="dark-counts", n_traj=args.trajectories or 0),
+              sorted(_metadata(args, experiment="dark-counts",
+                               n_traj=args.trajectories or 0).items()),
               header, rows)
     return 0
 
@@ -283,8 +258,9 @@ def run_detection(args) -> int:
         zetas = parse_grid(args.zeta_grid)
         rows = roc_sweep(args.gain_photons, args.modes, zetas)
         write_csv(args.output,
-                  {"version": __version__, "experiment": "detection",
-                   "gain": args.gain_photons, "modes": args.modes, "seed": args.seed},
+                  sorted({"version": __version__, "experiment": "detection",
+                          "gain": args.gain_photons, "modes": args.modes,
+                          "seed": args.seed}.items()),
                   ["zeta", "efficiency", "dark_probability"], rows)
     else:
         perf = detection_performance(DetectionParams(
@@ -334,15 +310,9 @@ _BOUNDS = {
 
 def _check_bounds(args) -> None:
     for dest, (ok, need) in _BOUNDS.items():
-        if not hasattr(args, dest):
-            continue
-        val = getattr(args, dest)
-        try:
-            good = ok(val)
-        except TypeError:
-            good = False
-        if not good:
-            raise ConfigError(f"--{dest.replace('_', '-')} must be {need}, got {val!r}")
+        if hasattr(args, dest) and not ok(getattr(args, dest)):
+            raise ConfigError(f"--{dest.replace('_', '-')} must be {need}, "
+                              f"got {getattr(args, dest)!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,6 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--config", help="JSON config file; flags override its entries")
     sub = ap.add_subparsers(dest="experiment", required=True)
+    ap.experiments = sub.choices   # name -> the experiment's parser
 
     def experiment(name, help_, func, threads=False):
         p = sub.add_parser(name, help=help_)
@@ -426,26 +397,53 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _merge_config(ap: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
-    args = ap.parse_args(argv)
-    if args.config:
+def _config_value(sub: argparse.ArgumentParser, action: argparse.Action, val):
+    """A config entry's ``val`` parsed by ``action`` as if given as its flag."""
+    option = action.option_strings[0]
+    items = val if isinstance(val, list) else [val]
+    reason = "not a string, a number or a list of them"
+    if all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in items):
         try:
-            with open(args.config, encoding="utf-8") as fh:
-                conf = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
-        if not isinstance(conf, dict):
-            raise ConfigError("config file must hold a JSON object")
-        # flags win: skip config entries whose option appears on the command line
-        for key, val in conf.items():
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr):
-                raise ConfigError(f"unknown config key {key!r}")
-            option = "--" + key.replace("_", "-")
-            explicit = any(tok == option or tok.startswith(option + "=") for tok in argv)
-            if not explicit:
-                setattr(args, attr, val)
-    return args
+            parsed, extra = sub.parse_known_args(
+                [option, *map(str, val)] if isinstance(val, list) else [f"{option}={val}"])
+        except argparse.ArgumentError as exc:
+            reason = exc.message
+        else:
+            if not extra:
+                return getattr(parsed, action.dest)
+            reason = "too many values"
+    need = _BOUNDS[action.dest][1] if action.dest in _BOUNDS else "valid"
+    raise ConfigError(f"{option} must be {need}, got {val!r} ({reason})")
+
+
+def _merge_config(ap: argparse.ArgumentParser, argv: list) -> argparse.Namespace:
+    """Parse ``argv`` over the config file's entries.
+
+    Each entry must name an option of the experiment.  Its value is parsed by
+    that option, as the command line would give it (type, choices, count), and
+    becomes the option's default, so a flag on the command line wins.
+    """
+    args = ap.parse_args(argv)
+    if not args.config:
+        return args
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            conf = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
+    if not isinstance(conf, dict):
+        raise ConfigError("config file must hold a JSON object")
+    sub = ap.experiments[args.experiment]
+    sub.exit_on_error = False   # a bad value raises ArgumentError instead of exiting
+    options = {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
+    defaults = {}
+    for key, val in conf.items():
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            raise ConfigError(f"unknown config key {key!r}")
+        defaults[action.dest] = _config_value(sub, action, val)
+    sub.set_defaults(**defaults)
+    return ap.parse_args(argv)
 
 
 def main(argv: list | None = None) -> int:
@@ -460,7 +458,7 @@ def main(argv: list | None = None) -> int:
                 raise ConfigError(f"{args.experiment} does not read --{dest.replace('_', '-')}")
             setattr(args, dest, _SYSTEM_FLAGS[dest])
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, UnwritablePathError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (SingularEliminationError, np.linalg.LinAlgError, RuntimeError) as exc:

@@ -8,7 +8,6 @@ declared when the observable exceeds the vacuum mean by zeta * sqrt(M).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -37,22 +36,6 @@ class DetectionParams:
         if self.signal_model == "empirical_histogram" and not self.histogram:
             raise ValueError("empirical model requires a histogram")
 
-    def to_json(self) -> str:
-        d = {"gain": self.gain, "modes": self.modes, "zeta": self.zeta,
-             "signal_model": self.signal_model}
-        if self.histogram is not None:
-            d["histogram"] = {str(k): v for k, v in sorted(self.histogram.items())}
-        return json.dumps(d, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DetectionParams":
-        d = json.loads(text)
-        hist = d.get("histogram")
-        if hist is not None:
-            hist = {int(k): v for k, v in hist.items()}
-        return cls(gain=d["gain"], modes=d["modes"], zeta=d["zeta"],
-                   signal_model=d.get("signal_model", "exponential"), histogram=hist)
-
 
 @dataclass
 class DetectionPerformance:
@@ -62,10 +45,6 @@ class DetectionPerformance:
     def __post_init__(self):
         if not (0 <= self.efficiency <= 1 and 0 <= self.dark_probability <= 1):
             raise ValueError("efficiency and dark probability must lie in [0, 1]")
-
-    def to_json(self) -> str:
-        return json.dumps({"efficiency": self.efficiency,
-                           "dark_probability": self.dark_probability}, sort_keys=True)
 
 
 def vacuum_observable_moments(modes: int) -> tuple[float, float]:

@@ -198,38 +198,6 @@ def gaussian_pulse(spec: PulseSpec, t) -> np.ndarray:
 class TimeSeries:
     times: np.ndarray
     channels: dict = field(default_factory=dict)   # name -> ndarray
-    metadata: dict = field(default_factory=dict)
-
-    def to_csv(self, path) -> None:
-        """Write the series to ``path``, or to stdout when it is None or '-'."""
-        names = list(self.channels)
-        with (contextlib.nullcontext(sys.stdout) if path in (None, "-")
-              else open(path, "w", encoding="utf-8", newline="\n")) as fh:
-            for key, val in self.metadata.items():
-                fh.write(f"# {key}={val}\n")
-            fh.write(",".join(["time"] + names) + "\n")
-            cols = [self.times] + [np.asarray(self.channels[n]) for n in names]
-            for row in zip(*cols):
-                fh.write(",".join("%.12g" % float(np.real(x)) for x in row) + "\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "TimeSeries":
-        metadata, rows, names = {}, [], None
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, val = line[1:].strip().partition("=")
-                    metadata[key.strip()] = val
-                elif names is None:
-                    names = line.split(",")
-                else:
-                    rows.append([float(x) for x in line.split(",")])
-        data = np.array(rows)
-        channels = {n: data[:, i + 1] for i, n in enumerate(names[1:])}
-        return cls(times=data[:, 0], channels=channels, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -921,7 +889,6 @@ def single_photon_response(
             "n1": out["n1"],
             **{name: out[name] for name in ("pop_g", "pop_e", "pop_f")},
         },
-        metadata={"absorbed_fraction": absorbed, "gain": gain_grid + gain_tail},
     )
     return SinglePhotonResult(
         series=series,

@@ -42,6 +42,7 @@ from scipy.integrate import DOP853
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.optimize import brentq
 
+from .artifacts import write_csv
 from .dynamics import PulseSpec, fork_map, gaussian_pulse, pool_workers
 from .effective import setting_rate
 from .hilbert import HilbertSpec, HilbertSpace, build_space
@@ -480,18 +481,6 @@ def run_trajectory(
 # ensembles
 # ---------------------------------------------------------------------------
 
-_ENSEMBLE: dict = {}
-
-
-def _ensemble_one(index: int, on_jump=None) -> Trajectory:
-    e = _ENSEMBLE
-    return run_trajectory(
-        e["h_nh"], e["collapses"], e["init"], e["duration"], (e["base_seed"], index),
-        pulse=e["pulse"], space=e["space"], propagator=e["prop"], on_jump=on_jump,
-        pulse_path=e["pulse_path"],
-    )
-
-
 def run_ensemble(
     h_nh: np.ndarray,
     collapses: CollapseSet,
@@ -504,23 +493,23 @@ def run_ensemble(
     threads: int | None = None,
 ) -> list:
     """Independent trajectories indexed 0..n_traj-1; order-stable aggregation."""
-    return _map_ensemble(_ensemble_one, n_traj, threads, h_nh=h_nh, collapses=collapses,
-                         init=init, duration=duration, pulse=pulse, space=space,
-                         base_seed=base_seed)
+    return _map_ensemble(lambda run, i: run(i), h_nh, collapses, init, duration, n_traj,
+                         base_seed, pulse, space, threads)
 
 
-def _map_ensemble(fn, n_traj: int, threads: int | None, **state) -> list:
-    """[fn(0), ..., fn(n_traj - 1)] over one ensemble's state.
+def _map_ensemble(fn, h_nh, collapses, init, duration, n_traj, base_seed, pulse, space,
+                  threads) -> list:
+    """[fn(run, 0), ..., fn(run, n_traj - 1)] over one ensemble.
 
-    ``state`` holds the run_trajectory inputs and the base seed.  The
-    eigenbasis of H_NH and, for a single-photon input, the shared ``PulsePath``
-    are built once, here in the calling process, so a bad input raises here.
-    The trajectories then run in this process, or, from 8 trajectories on,
-    over ``fork_map``'s pool of ``pool_workers(threads)`` workers that inherit
-    the state; results come back in index order.  A path bound for the pool is
+    ``run(index, on_jump=None)`` is trajectory ``index`` of the ensemble: the
+    run_trajectory inputs with the seed (base_seed, index).  The eigenbasis of
+    H_NH and, for a single-photon input, the shared ``PulsePath`` are built
+    once, here in the calling process, so a bad input raises here.  The
+    trajectories then run in this process, or, from 8 trajectories on, over
+    ``fork_map``'s pool of ``pool_workers(threads)`` workers that inherit
+    ``run``; results come back in index order.  A path bound for the pool is
     first stepped as far as any trajectory will ask.
     """
-    duration, init, h_nh = state["duration"], state["init"], state["h_nh"]
     if n_traj < 1 or not (math.isfinite(duration) and duration > 0):
         raise ValueError("an ensemble needs n_traj >= 1 and a finite duration > 0, "
                          f"got n_traj={n_traj}, duration={duration}")
@@ -529,21 +518,22 @@ def _map_ensemble(fn, n_traj: int, threads: int | None, **state) -> list:
         workers = 1
     pulse_path = None
     if isinstance(init, str) and init == "single-photon-input":
-        pulse_path = PulsePath(h_nh, state["collapses"], state["space"], state["pulse"],
-                               0.0, duration)
+        pulse_path = PulsePath(h_nh, collapses, space, pulse, 0.0, duration)
         if workers > 1:
             # step as far as the ensemble's smallest first threshold (the first
             # draw of each trajectory's stream, on the norm at 0) crosses, so the
             # workers replay these steps instead of each stepping a copy
-            first = min(trajectory_rng(state["base_seed"], i).random() for i in range(n_traj))
+            first = min(trajectory_rng(base_seed, i).random() for i in range(n_traj))
             pulse_path.crossing(first * pulse_path._norms[0])
-    _ENSEMBLE.update(state, prop=EigenPropagator(h_nh), pulse_path=pulse_path)
-    try:
-        return fork_map(fn, n_traj, workers)
-    finally:
-        # the pulse path keeps hundreds of interpolants: free them before the
-        # caller's next allocations, not at the next ensemble
-        _ENSEMBLE.clear()
+    prop = EigenPropagator(h_nh)
+
+    def run(index: int, on_jump=None) -> Trajectory:
+        # run_trajectory is looked up at call time, where a tracer may have wrapped it
+        return run_trajectory(h_nh, collapses, init, duration, (base_seed, index), pulse=pulse,
+                              space=space, propagator=prop, on_jump=on_jump,
+                              pulse_path=pulse_path)
+
+    return fork_map(lambda i: fn(run, i), n_traj, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -681,8 +671,8 @@ def dark_count_trajectories(
     space, cols, h_nh = _dark_model(params, spec)
     # the basis lists every |g, n1, n2> first; sums run in index order
     tallies = _map_ensemble(functools.partial(_dark_one, n_ground=space.index("e", 0, 0)),
-                            n_traj, threads, h_nh=h_nh, collapses=cols, init="g,0,0",
-                            duration=duration, pulse=None, space=space, base_seed=base_seed)
+                            h_nh, cols, "g,0,0", duration, n_traj, base_seed, None, space,
+                            threads)
     singles = 0
     bursts = 0
     dwell = 0.0
@@ -716,7 +706,7 @@ def dark_count_trajectories(
     )
 
 
-def _dark_one(index: int, n_ground: int) -> tuple:
+def _dark_one(run, index: int, n_ground: int) -> tuple:
     """(singles, bursts, burst dwell) of one dark-count trajectory, classified
     jump by jump from the post-jump states."""
     singles = bursts = 0
@@ -734,7 +724,7 @@ def _dark_one(index: int, n_ground: int) -> tuple:
         if label == "kappa2_G" and burst_start is None:
             singles += 1
 
-    tr = _ensemble_one(index, on_jump)
+    tr = run(index, on_jump)
     if burst_start is not None:
         dwell += tr.duration - burst_start
     return singles, bursts, dwell
@@ -814,10 +804,5 @@ def no_jump_rates(
 # ---------------------------------------------------------------------------
 
 def trajectories_to_csv(trajectories: list, path, metadata: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, val in (metadata or {}).items():
-            fh.write(f"# {key}={val}\n")
-        fh.write("trajectory_id,jump_time,channel\n")
-        for i, tr in enumerate(trajectories):
-            for t, lab in tr.jumps:
-                fh.write("%d,%.12g,%s\n" % (i, t, lab))
+    write_csv(path, (metadata or {}).items(), ["trajectory_id", "jump_time", "channel"],
+              ((i, t, lab) for i, tr in enumerate(trajectories) for t, lab in tr.jumps))

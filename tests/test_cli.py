@@ -191,13 +191,14 @@ class TestExperiments:
                    "--points", "160", "--n2", "6", "--tol", "1e-6",
                    "-o", str(out)])
         assert rc == 0
-        from spt.dynamics import TimeSeries
-
-        ts = TimeSeries.from_csv(out)
-        assert float(ts.metadata["absorbed_fraction"]) > 0.9
+        lines = out.read_text().splitlines()
+        meta = dict(ln[2:].split("=", 1) for ln in lines if ln.startswith("#"))
+        names, *rows = [ln.split(",") for ln in lines if not ln.startswith("#")]
+        col = dict(zip(names, np.array(rows, dtype=float).T))
+        assert float(meta["absorbed_fraction"]) > 0.9
         # input Gaussian followed by a slow output tail
-        t_in_peak = ts.times[np.argmax(ts.channels["I_in1"])]
-        t_out_peak = ts.times[np.argmax(ts.channels["I_out2"])]
+        t_in_peak = col["time"][np.argmax(col["I_in1"])]
+        t_out_peak = col["time"][np.argmax(col["I_out2"])]
         assert t_out_peak > t_in_peak
 
     def test_pulse_response_stdout_equals_file(self, tmp_path, capsys):
@@ -318,3 +319,46 @@ class TestExperiments:
         conf.write_text(json.dumps({"n_traj": "many"}))
         assert main(["--config", str(conf), "trajectories"]) == 2
         assert "--n-traj must be at least 1, got 'many'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("conf, message", [
+        ({"experiment": "dark-counts", "kappa1": 5}, "unknown config key 'experiment'"),
+        ({"func": "x"}, "unknown config key 'func'"),
+        ({"help": True}, "unknown config key 'help'"),
+        ({"n2": 3.5}, "--n2 must be at least 1, got 3.5 (invalid int value"),
+        ({"seed": 1.5}, "--seed must be in"),
+        ({"units": "hz"}, "--units must be valid, got 'hz' (invalid choice"),
+        ({"sweep": "g1"}, "--sweep must be valid, got 'g1' (expected 2 arguments)"),
+        ({"g1": [0.1, 0.2]}, "--g1 must be valid, got [0.1, 0.2] (too many values)"),
+        ({"output": None}, "--output must be valid, got None (not a string"),
+        ({"g1": True}, "--g1 must be valid, got True (not a string"),
+    ])
+    def test_config_entry_parsed_as_its_flag(self, tmp_path, capsys, conf, message):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(conf))
+        assert main(["--config", str(path), "gain", "--n2", "3"]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["-o", "--out", "--output", "--output="])
+    def test_output_flag_beats_config_in_any_form(self, tmp_path, flag):
+        conf, a, b = tmp_path / "conf.json", tmp_path / "a.csv", tmp_path / "b.csv"
+        conf.write_text(json.dumps({"output": str(a)}))
+        out = [flag + str(b)] if flag.endswith("=") else [flag, str(b)]
+        assert main(["--config", str(conf), "setting-rate", "--kappa2-grid", "1:1:1",
+                     "--n2", "3"] + out) == 0
+        assert b.exists() and not a.exists()
+
+    def test_config_value_writes_as_its_flag(self, tmp_path):
+        conf, a, b = tmp_path / "conf.json", tmp_path / "a.csv", tmp_path / "b.csv"
+        conf.write_text(json.dumps({"kappa2": 1, "n2": 3, "seed": 7}))
+        assert main(["--config", str(conf), "gain", "-o", str(a)]) == 0
+        assert main(["gain", "--kappa2", "1", "--n2", "3", "--seed", "7", "-o", str(b)]) == 0
+        assert "# kappa2=1.0" in a.read_text().splitlines()
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("flag", ["-o", "--jump-log"])
+    def test_unwritable_path_is_config_error(self, tmp_path, capsys, flag):
+        paths = {"-o": str(tmp_path / "stats.json"), "--jump-log": str(tmp_path / "jumps.csv")}
+        paths[flag] = str(tmp_path / "missing" / "x.csv")
+        assert main(["trajectories", "--g1", "0.25", "--n-traj", "2", "--duration", "50",
+                     "--n1", "1", "--n2", "4", *[t for kv in paths.items() for t in kv]]) == 2
+        assert "config error: cannot write" in capsys.readouterr().err

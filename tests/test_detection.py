@@ -107,13 +107,6 @@ class TestModeCount:
         assert mode_count_estimate(1.0, 0.5, t_90) == 90
         assert mode_count_estimate(1.0, 0.5, t_90 * 600 / 90) == 600
 
-    def test_json_roundtrip(self):
-        p = DetectionParams(gain=200, modes=90, zeta=2)
-        back = DetectionParams.from_json(p.to_json())
-        assert back == p
-        perf = detection_performance(p)
-        assert "efficiency" in perf.to_json()
-
 
 def test_roc_rows():
     rows = roc_sweep(200, 90, [0.0, 2.0])

@@ -1236,19 +1236,3 @@ class TestGain:
         r2 = gain_and_bandwidth(p.replace(g1=0.1), n2_trunc=6)
         assert r2.bandwidth / r1.bandwidth == pytest.approx(4.0, rel=1e-9)
         assert r2.gain < r1.gain
-
-
-class TestTimeSeriesCSV:
-    def test_roundtrip(self, tmp_path):
-        ts = TimeSeries(times=np.array([0.0, 0.5, 1.0]),
-                        channels={"a": np.array([1.0, 2.0, 3.0]),
-                                  "b": np.array([0.1, 0.2, 0.3])},
-                        metadata={"seed": "7"})
-        path = tmp_path / "out.csv"
-        ts.to_csv(path)
-        back = TimeSeries.from_csv(path)
-        assert np.allclose(back.times, ts.times)
-        assert np.allclose(back.channels["a"], ts.channels["a"])
-        assert back.metadata["seed"] == "7"
-        header = path.read_text().splitlines()[1]
-        assert header == "time,a,b"
