@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -20,13 +21,25 @@ class UnwritablePathError(ValueError):
     """An artifact path that cannot be opened for writing."""
 
 
-def _open(path):
+def _open(path, mode: str = "w"):
     if path in (None, "-"):
         return contextlib.nullcontext(sys.stdout)
     try:
-        return open(path, "w", encoding="utf-8", newline="\n")
+        return open(path, mode, encoding="utf-8", newline="\n")
     except OSError as exc:
         raise UnwritablePathError(f"cannot write {str(path)!r}: {exc.strerror}") from exc
+
+
+def check_writable(path) -> None:
+    """UnwritablePathError unless ``path`` can be opened for writing, checked
+    by opening it to append: a file that is there keeps its bytes, and one
+    that was not is removed again."""
+    if path in (None, "-"):
+        return
+    existed = os.path.lexists(path)
+    _open(path, "a").close()
+    if not existed:
+        os.remove(path)
 
 
 def _cell(x) -> str:

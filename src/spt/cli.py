@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .artifacts import UnwritablePathError, write_csv, write_json
+from .artifacts import UnwritablePathError, check_writable, write_csv, write_json
 from .detection import DetectionParams, detection_performance, roc_sweep, sample_observable
 from .dynamics import PulseSpec, gain_and_bandwidth, reflection_sweep, single_photon_response
 from .effective import (SingularEliminationError, dark_rates_steady,
@@ -87,20 +87,27 @@ def _anharmonicity(args) -> float:
     return anh
 
 
+def _checked(build, *args, **kwargs):
+    """``build(*args, **kwargs)`` for a constructor of parameters, the
+    ValueError of its checks raised as the ConfigError of a bad value."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _sys_params(args) -> SystemParams:
     conv = _conv(args)
     anh = to_g2_units(_anharmonicity(args), conv)
-    try:
-        return SystemParams(
-            g1=to_g2_units(args.g1, conv),
-            g2=1.0,
-            omega=to_g2_units(args.omega, conv),
-            kappa1=to_g2_units(args.kappa1, conv),
-            kappa2=to_g2_units(args.kappa2, conv),
-            anharmonicity=anh,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _checked(
+        SystemParams,
+        g1=to_g2_units(args.g1, conv),
+        g2=1.0,
+        omega=to_g2_units(args.omega, conv),
+        kappa1=to_g2_units(args.kappa1, conv),
+        kappa2=to_g2_units(args.kappa2, conv),
+        anharmonicity=anh,
+    )
 
 
 def _decoherence(args) -> DecoherenceParams | None:
@@ -138,7 +145,7 @@ def run_setting_rate(args) -> int:
     grid = _grid_in_g2(args, args.kappa2_grid) if args.kappa2_grid else np.array([params.kappa2])
     rows = []
     for k2 in grid:
-        p = params.replace(kappa2=float(k2))
+        p = _checked(params.replace, kappa2=float(k2))
         num = setting_rate(p, n2_trunc=args.n2).value
         ana = [setting_rate_analytic(p, order).value for order in (1, 2, 3)]
         rows.append((k2, num, *ana))
@@ -175,7 +182,7 @@ def run_gain(args) -> int:
         name, grid = "g1", np.array([params.g1])
     rows = []
     for val in grid:
-        p = params.replace(**{name: float(val)})
+        p = _checked(params.replace, **{name: float(val)})
         res = gain_and_bandwidth(p, decoherence=dec, n2_trunc=args.n2)
         rows.append((val, res.gain, res.bandwidth))
     write_csv(args.output,
@@ -204,6 +211,8 @@ def run_pulse_response(args) -> int:
 
 def run_trajectories(args) -> int:
     params = _sys_params(args)
+    for path in (args.output, args.jump_log):   # before the ensemble, not after it
+        check_writable(path)
     stats, trajs = gain_statistics(
         params, n_traj=args.n_traj, duration=args.duration, base_seed=args.seed,
         spec=HilbertSpec(args.n1, args.n2), decoherence=_decoherence(args),
@@ -227,7 +236,7 @@ def run_dark_counts(args) -> int:
     grid = _grid_in_g2(args, args.a_grid) if args.a_grid else np.array([params.anharmonicity])
     rows = []
     for a in grid:
-        p = params.replace(anharmonicity=float(a))
+        p = _checked(params.replace, anharmonicity=float(a))
         steady = dark_rates_steady(p)
         nj = no_jump_rates(p, t_end=args.t_end)
         row = [a, steady.single.value, steady.enhanced.value,
@@ -256,6 +265,8 @@ def run_dark_counts(args) -> int:
 def run_detection(args) -> int:
     if args.zeta_grid:
         zetas = parse_grid(args.zeta_grid)
+        for z in zetas:   # roc_sweep builds these; a bad value is refused first
+            _checked(DetectionParams, gain=args.gain_photons, modes=args.modes, zeta=float(z))
         rows = roc_sweep(args.gain_photons, args.modes, zetas)
         write_csv(args.output,
                   sorted({"version": __version__, "experiment": "detection",
@@ -263,8 +274,8 @@ def run_detection(args) -> int:
                           "seed": args.seed}.items()),
                   ["zeta", "efficiency", "dark_probability"], rows)
     else:
-        perf = detection_performance(DetectionParams(
-            gain=args.gain_photons, modes=args.modes, zeta=args.zeta))
+        perf = detection_performance(_checked(
+            DetectionParams, gain=args.gain_photons, modes=args.modes, zeta=args.zeta))
         payload = {"experiment": "detection", "gain": args.gain_photons,
                    "modes": args.modes, "zeta": args.zeta,
                    "efficiency": perf.efficiency, "dark_probability": perf.dark_probability}

@@ -9,6 +9,12 @@ alongside; and the gain and bandwidth, the gain as one resolvent solve with
 no time integration.
 
 Vectorization is row-major: vec(A rho B) = (A kron B^T) vec(rho).
+
+scipy.integrate is imported where an ODE runs (``solve_ivp``, ``_grid_solve``
+and ``single_photon_response``), not with this module: the stationary
+experiments are exact linear solves, and the import, which brings
+scipy.optimize and scipy.special with it, would cost each of their processes
+about 0.2 s and 20 MB.
 """
 
 from __future__ import annotations
@@ -24,8 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-from scipy.integrate import DOP853, solve_ivp
-from scipy.integrate._ivp.common import select_initial_step
 
 from .effective import setting_rate
 from .hilbert import HilbertSpec, HilbertSpace, build_space
@@ -353,42 +357,61 @@ class _CompactLayout:
         return np.append(y, 0)[self.slots]
 
 
-class _CompactDOP853(DOP853):
-    """DOP853 on a compact state (``_CompactLayout``), step for step and bit
-    for bit DOP853 on the full state.
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
 
-    Every vector operation of DOP853 acts entry by entry, or (its stage sums)
-    through zgemv, whose bits the layout keeps.  Only two of its quantities
-    sum over the whole state: the RMS norms of the initial step and of the
-    error estimate.  Both are taken here over the full length, from the compact
-    vectors scattered into zeros, because numpy's norm sums with a strided dot
-    product whose rounding depends on each entry's place.
-    """
+    return scipy_solve_ivp(*args, **kwargs)
 
-    def __init__(self, fun, t0, y0, t_bound, rtol, atol, layout: _CompactLayout):
-        # a given first step keeps RungeKutta from choosing one on the compact
-        # state (with an RHS call); it is replaced by the full state's below
-        super().__init__(fun, t0, y0, t_bound, rtol=rtol, atol=atol, first_step=t_bound - t0)
-        self.layout = layout
-        # full-length scatter targets of the error estimate; slot n takes the padding
-        self._err5 = np.zeros(layout.n + 1, dtype=self.y.dtype)
-        self._err3 = np.zeros(layout.n + 1, dtype=self.y.dtype)
-        self.h_abs = select_initial_step(
-            lambda t, y: layout.full(self.fun(t, layout.compact(y))), self.t,
-            layout.full(self.y), t_bound, self.max_step, layout.full(self.f), self.direction,
-            self.error_estimator_order, self.rtol, self.atol)
 
-    def _estimate_error_norm(self, K, h, scale):
-        """DOP853's error norm, over the full state."""
-        slots = self.layout.slots
-        self._err5[slots] = np.dot(K.T, self.E5) / scale
-        self._err3[slots] = np.dot(K.T, self.E3) / scale
-        err5_norm_2 = np.linalg.norm(self._err5[:-1]) ** 2
-        err3_norm_2 = np.linalg.norm(self._err3[:-1]) ** 2
-        if err5_norm_2 == 0 and err3_norm_2 == 0:
-            return 0.0
-        denom = err5_norm_2 + 0.01 * err3_norm_2
-        return np.abs(h) * err5_norm_2 / np.sqrt(denom * self.layout.n)
+@functools.cache
+def _compact_dop853() -> type:
+    """The class ``_CompactDOP853``, built on first use: its base, scipy's
+    DOP853, comes with scipy.integrate, which is imported only where an ODE
+    runs."""
+    from scipy.integrate import DOP853
+    from scipy.integrate._ivp.common import select_initial_step
+
+    class _CompactDOP853(DOP853):
+        """DOP853 on a compact state (``_CompactLayout``), step for step and
+        bit for bit DOP853 on the full state.
+
+        Every vector operation of DOP853 acts entry by entry, or (its stage
+        sums) through zgemv, whose bits the layout keeps.  Only two of its
+        quantities sum over the whole state: the RMS norms of the initial step
+        and of the error estimate.  Both are taken here over the full length,
+        from the compact vectors scattered into zeros, because numpy's norm
+        sums with a strided dot product whose rounding depends on each entry's
+        place.
+        """
+
+        def __init__(self, fun, t0, y0, t_bound, rtol, atol, layout: _CompactLayout):
+            # a given first step keeps RungeKutta from choosing one on the
+            # compact state (with an RHS call); the full state's replaces it below
+            super().__init__(fun, t0, y0, t_bound, rtol=rtol, atol=atol,
+                             first_step=t_bound - t0)
+            self.layout = layout
+            # full-length scatter targets of the error estimate; slot n takes the padding
+            self._err5 = np.zeros(layout.n + 1, dtype=self.y.dtype)
+            self._err3 = np.zeros(layout.n + 1, dtype=self.y.dtype)
+            self.h_abs = select_initial_step(
+                lambda t, y: layout.full(self.fun(t, layout.compact(y))), self.t,
+                layout.full(self.y), t_bound, self.max_step, layout.full(self.f),
+                self.direction, self.error_estimator_order, self.rtol, self.atol)
+
+        def _estimate_error_norm(self, K, h, scale):
+            """DOP853's error norm, over the full state."""
+            slots = self.layout.slots
+            self._err5[slots] = np.dot(K.T, self.E5) / scale
+            self._err3[slots] = np.dot(K.T, self.E3) / scale
+            err5_norm_2 = np.linalg.norm(self._err5[:-1]) ** 2
+            err3_norm_2 = np.linalg.norm(self._err3[:-1]) ** 2
+            if err5_norm_2 == 0 and err3_norm_2 == 0:
+                return 0.0
+            denom = err5_norm_2 + 0.01 * err3_norm_2
+            return np.abs(h) * err5_norm_2 / np.sqrt(denom * self.layout.n)
+
+    return _CompactDOP853
 
 
 def _check_grid(t_grid: np.ndarray, tol: float) -> None:
@@ -424,10 +447,12 @@ def _grid_solve(fun, t_grid: np.ndarray, y0: np.ndarray, rtol: float, atol: floa
     ValueError unless the grid holds at least two points, finite and strictly
     increasing, and 0 < ``rtol`` < 1 (the ``tol`` of the callers).
     """
+    from scipy.integrate import DOP853
+
     _check_grid(t_grid, rtol)
     problem = (fun, float(t_grid[0]), y0, float(t_grid[-1]))
     solver = (DOP853(*problem, rtol=rtol, atol=atol) if layout is None
-              else _CompactDOP853(*problem, rtol, atol, layout))
+              else _compact_dop853()(*problem, rtol, atol, layout))
     i = accepted = rejected = 0
     while solver.status == "running":
         nfev = solver.nfev
@@ -803,6 +828,9 @@ def single_photon_response(
                          "H or a collapse operator does not annihilate it")
     from .model import nonhermitian
 
+    # loaded before the fork, so that the absorption child does not import it again
+    import scipy.integrate  # noqa: F401
+
     absorption = functools.partial(
         _first_click_absorption, nonhermitian(h, cols), cols.get("kappa1"),
         np.sqrt(params.kappa1), space.basis_state("g", 0, 0), space.index("g", 1, 0),
@@ -830,10 +858,16 @@ def single_photon_response(
             """Append the observables of the grid points in ``chunk`` (kept
             entries x points) to ``parts``."""
             nonlocal final_rho
-            blk = np.zeros((2 * nf, chunk.shape[1]), dtype=complex)
-            blk[keep] = chunk
-            rho10 = blk[:nf].T.reshape(-1, dim, dim)
-            rho11 = blk[nf:].T.reshape(-1, dim, dim)
+            # two blocks, not one of both halves: glibc raises its mmap
+            # threshold to the size of each mapping freed, and one of 2 dim^2
+            # x _CHUNK entries (2.2 MB at (1,10)) would send the gain tail's
+            # LU arrays into a heap fragmented by the steps (peak RSS +2.5 MB)
+            rho10 = np.zeros((nf, chunk.shape[1]), dtype=complex)
+            rho11 = np.zeros((nf, chunk.shape[1]), dtype=complex)
+            rho10[support[0]] = chunk[:len(support[0])]
+            rho11[support[2]] = chunk[len(support[0]):]
+            rho10 = rho10.T.reshape(-1, dim, dim)
+            rho11 = rho11.T.reshape(-1, dim, dim)
             rho11 = 0.5 * (rho11 + np.conj(np.swapaxes(rho11, 1, 2)))
             parts["trace"].append(np.einsum("tii->t", rho11).real)
             parts["a1_rho10"].append(np.einsum("ij,tji->t", a1, rho10))

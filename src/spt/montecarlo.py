@@ -26,6 +26,11 @@ own threshold, bit for bit as a solve_ivp event run of its own would.
 
 RNG streams are counter-based (Philox) keyed by (base_seed, trajectory index),
 so ensembles are reproducible for any worker count.
+
+scipy.integrate and scipy.optimize are imported in ``PulsePath``, the only
+route that steps an ODE or finds a root (pulse input, or an ill-conditioned
+eigenbasis), not with this module: an ensemble on the eigen path never needs
+them, and the import costs a process about 0.2 s and 20 MB.
 """
 
 from __future__ import annotations
@@ -37,13 +42,11 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853
-# unused, kept while perfbench/tracer.py wraps it by name
-from scipy.integrate import solve_ivp  # noqa: F401
-from scipy.optimize import brentq
 
 from .artifacts import write_csv
 from .dynamics import PulseSpec, fork_map, gaussian_pulse, pool_workers
+# unused, kept while perfbench/tracer.py wraps it by name
+from .dynamics import solve_ivp  # noqa: F401
 from .effective import setting_rate
 from .hilbert import HilbertSpec, HilbertSpace, build_space
 from .model import (CollapseSet, DecoherenceParams, SystemParams, collapse_set,
@@ -186,6 +189,8 @@ class PulsePath:
     def __init__(self, h_nh: np.ndarray, collapses: CollapseSet, space: HilbertSpace | None,
                  pulse: PulseSpec | None, t_start: float, t_end: float,
                  psi0: np.ndarray | None = None):
+        from scipy.integrate import DOP853
+
         self.pulse = pulse
         self.t_start, self.t_end = float(t_start), float(t_end)
         if pulse is not None:
@@ -218,6 +223,8 @@ class PulsePath:
     def crossing(self, u: float):
         """(time, state, True) where the norm first falls through u, the state
         the pre-jump one; (t_end, final state, False) when it never does."""
+        from scipy.optimize import brentq
+
         k = 0
         while True:
             if k + 1 == len(self._norms):

@@ -1,11 +1,17 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spt.cli
 import spt.dynamics
 from spt.cli import ConfigError, main, parse_grid
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestGridParsing:
@@ -355,10 +361,75 @@ class TestExperiments:
         assert "# kappa2=1.0" in a.read_text().splitlines()
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["setting-rate", "--kappa2-grid=-1:2:3", "--n2", "3"], "kappa2 must be >= 0"),
+        (["gain", "--n2", "3", "--sweep", "kappa2", " -1:1:2"], "kappa2 must be >= 0"),
+        (["dark-counts", "--anharmonicity", "40", "--a-grid=-1:1:2"],
+         "finite anharmonicity must be > 0"),
+        (["detection", "--gain-photons", "-1", "--zeta", "2"], "gain must be >= 0"),
+        (["detection", "--modes", "0", "--zeta", "2"], "modes must be >= 1"),
+        (["detection", "--modes", "0", "--zeta-grid", "0:1:3"], "modes must be >= 1"),
+        (["detection", "--zeta-grid=-1:1:3"], "zeta must be >= 0"),
+    ])
+    def test_bad_parameter_value_is_config_error(self, argv, message, capsys):
+        # values that pass the flag checks and fail those of the parameter classes
+        assert main(argv) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["-o", "--jump-log"])
-    def test_unwritable_path_is_config_error(self, tmp_path, capsys, flag):
-        paths = {"-o": str(tmp_path / "stats.json"), "--jump-log": str(tmp_path / "jumps.csv")}
-        paths[flag] = str(tmp_path / "missing" / "x.csv")
-        assert main(["trajectories", "--g1", "0.25", "--n-traj", "2", "--duration", "50",
-                     "--n1", "1", "--n2", "4", *[t for kv in paths.items() for t in kv]]) == 2
+    def test_unwritable_path_is_config_error(self, tmp_path, capsys, monkeypatch, flag):
+        # both paths are checked before the ensemble runs, and neither is left
+        # behind; a file already there keeps its bytes
+        def no_ensemble(*args, **kwargs):
+            raise AssertionError("the ensemble ran before the paths were checked")
+
+        monkeypatch.setattr(spt.cli, "gain_statistics", no_ensemble)
+        paths = {"-o": tmp_path / "stats.json", "--jump-log": tmp_path / "jumps.csv"}
+        paths[flag] = tmp_path / "missing" / "x.csv"
+        argv = ["trajectories", "--g1", "0.25", "--n-traj", "2", "--duration", "50",
+                "--n1", "1", "--n2", "4", *[str(t) for kv in paths.items() for t in kv]]
+        assert main(argv) == 2
         assert "config error: cannot write" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        kept = paths["--jump-log" if flag == "-o" else "-o"]
+        kept.write_bytes(b"earlier run\n")
+        assert main(argv) == 2
+        assert [p.name for p in tmp_path.iterdir()] == [kept.name]
+        assert kept.read_bytes() == b"earlier run\n"
+
+
+# each stationary experiment at a tiny size, then pulse-response; serial, so
+# that every solve runs in this process
+_IMPORT_BUDGET = """
+import json
+import os
+import sys
+
+import spt.cli
+
+lazy = ("scipy.integrate", "scipy.optimize")
+for argv in (["setting-rate", "--kappa2-grid", "1:2:2", "--n2", "3"],
+             ["reflection", "--n2", "3", "--n2-reflection", "2",
+              "--kappa1-grid", "0.01:0.02:2", "--threads", "1"],
+             ["gain", "--n2", "3"],
+             ["dark-counts", "--anharmonicity", "40", "--trajectories", "2",
+              "--duration", "50", "--t-end", "50", "--threads", "1"],
+             ["detection", "--zeta", "2"],
+             ["trajectories", "--n-traj", "2", "--n1", "1", "--n2", "3",
+              "--duration", "20", "--threads", "1"]):
+    assert spt.cli.main(argv + ["-o", os.devnull]) == 0
+print(json.dumps([name for name in lazy if name in sys.modules]))
+assert spt.cli.main(["pulse-response", "--n2", "2", "--points", "20", "--tol", "1e-5",
+                     "-o", os.devnull]) == 0
+print(json.dumps([name for name in lazy if name in sys.modules]))
+"""
+
+
+def test_stationary_experiments_leave_ode_and_root_finding_unloaded(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    stationary, pulse = (json.loads(line) for line in run.stdout.splitlines())
+    assert stationary == []
+    assert pulse == ["scipy.integrate", "scipy.optimize"]
