@@ -25,6 +25,7 @@ from .hilbert import HilbertSpec
 from .model import DecoherenceParams, SystemParams
 from .montecarlo import (dark_count_trajectories, gain_statistics, no_jump_rates,
                          trajectories_to_csv)
+from .ode import MIN_RTOL
 from .units import to_g2_units
 
 
@@ -312,7 +313,8 @@ _BOUNDS = {
     "t_end": (lambda v: 0 < v < math.inf, "finite and > 0"),
     "points": (lambda v: v >= 2, "at least 2"),
     "tau_kappa1": (lambda v: 0 < v < math.inf, "finite and > 0"),
-    "tol": (lambda v: 0 < v < 1, "in (0, 1)"),
+    # DOP853 cannot honour an rtol below 100 eps (ode.MIN_RTOL)
+    "tol": (lambda v: MIN_RTOL <= v < 1, f"in [100 eps, 1) = [{MIN_RTOL:.4g}, 1)"),
     "threads": (lambda v: v is None or v >= 1, "at least 1"),
     # Philox takes the seed as a 64-bit key word (montecarlo.trajectory_rng)
     "seed": (lambda v: -2**63 <= v < 2**63, "in [-2**63, 2**63)"),

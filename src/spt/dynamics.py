@@ -10,11 +10,8 @@ no time integration.
 
 Vectorization is row-major: vec(A rho B) = (A kron B^T) vec(rho).
 
-scipy.integrate is imported where an ODE runs (``solve_ivp``, ``_grid_solve``
-and ``single_photon_response``), not with this module: the stationary
-experiments are exact linear solves, and the import, which brings
-scipy.optimize and scipy.special with it, would cost each of their processes
-about 0.2 s and 20 MB.
+Every ODE is stepped by ``ode.DOP853``, scipy's DOP853 bit for bit, so no
+route of this module loads scipy.integrate.
 """
 
 from __future__ import annotations
@@ -31,9 +28,11 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
+from . import ode
 from .effective import setting_rate
 from .hilbert import HilbertSpec, HilbertSpace, build_space
 from .model import CollapseSet, DecoherenceParams, SystemParams, collapse_set, hamiltonian_ideal
+from .ode import _CompactLayout
 
 
 class SteadyStateError(RuntimeError):
@@ -316,115 +315,24 @@ def _top_layer_projectors(space: HilbertSpace):
     return top1, top2
 
 
-@dataclass(frozen=True)
-class _CompactLayout:
-    """Where the entries of a compact ODE state sit in a full state of length n
-    whose other entries stay exactly zero.
-
-    ``slots[q]`` is the full index of compact entry q, or n for padding.  The
-    evolved entries below the full state's last (n mod 16) come first, in
-    full-index order, zero-padded to a multiple of 16; those last (n mod 16)
-    full entries follow, evolved or not.  OpenBLAS's zgemv, which forms
-    DOP853's stage sums, computes the last (rows mod 4) rows by a different
-    path than the others, so this layout gives every entry the path, and so
-    the bits, that it has in the full state.
-    """
-
-    slots: np.ndarray
-    n: int
-
-    @classmethod
-    def of(cls, keep: np.ndarray, n: int) -> "_CompactLayout":
-        """The layout for the sorted full indices ``keep`` of a length-n state."""
-        tail = n - n % 16
-        main = keep[keep < tail]
-        return cls(np.concatenate([main, np.full(-len(main) % 16, n), np.arange(tail, n)]), n)
-
-    def positions(self, keep: np.ndarray) -> np.ndarray:
-        """The compact position of each full index in ``keep``."""
-        at = np.empty(self.n + 1, dtype=np.intp)
-        at[self.slots] = np.arange(len(self.slots))
-        return at[keep]
-
-    def full(self, v: np.ndarray) -> np.ndarray:
-        """The full-length vector of the compact ``v``."""
-        out = np.zeros(self.n + 1, dtype=v.dtype)
-        out[self.slots] = v
-        return out[:-1]
-
-    def compact(self, y: np.ndarray) -> np.ndarray:
-        """The compact vector of the full-length ``y``."""
-        return np.append(y, 0)[self.slots]
-
-
 def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first call."""
+    """``scipy.integrate.solve_ivp``, imported on the first call; unused, kept
+    while perfbench/tracer.py wraps it by name."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
     return scipy_solve_ivp(*args, **kwargs)
 
 
-@functools.cache
-def _compact_dop853() -> type:
-    """The class ``_CompactDOP853``, built on first use: its base, scipy's
-    DOP853, comes with scipy.integrate, which is imported only where an ODE
-    runs."""
-    from scipy.integrate import DOP853
-    from scipy.integrate._ivp.common import select_initial_step
-
-    class _CompactDOP853(DOP853):
-        """DOP853 on a compact state (``_CompactLayout``), step for step and
-        bit for bit DOP853 on the full state.
-
-        Every vector operation of DOP853 acts entry by entry, or (its stage
-        sums) through zgemv, whose bits the layout keeps.  Only two of its
-        quantities sum over the whole state: the RMS norms of the initial step
-        and of the error estimate.  Both are taken here over the full length,
-        from the compact vectors scattered into zeros, because numpy's norm
-        sums with a strided dot product whose rounding depends on each entry's
-        place.
-        """
-
-        def __init__(self, fun, t0, y0, t_bound, rtol, atol, layout: _CompactLayout):
-            # a given first step keeps RungeKutta from choosing one on the
-            # compact state (with an RHS call); the full state's replaces it below
-            super().__init__(fun, t0, y0, t_bound, rtol=rtol, atol=atol,
-                             first_step=t_bound - t0)
-            self.layout = layout
-            # full-length scatter targets of the error estimate; slot n takes the padding
-            self._err5 = np.zeros(layout.n + 1, dtype=self.y.dtype)
-            self._err3 = np.zeros(layout.n + 1, dtype=self.y.dtype)
-            self.h_abs = select_initial_step(
-                lambda t, y: layout.full(self.fun(t, layout.compact(y))), self.t,
-                layout.full(self.y), t_bound, self.max_step, layout.full(self.f),
-                self.direction, self.error_estimator_order, self.rtol, self.atol)
-
-        def _estimate_error_norm(self, K, h, scale):
-            """DOP853's error norm, over the full state."""
-            slots = self.layout.slots
-            self._err5[slots] = np.dot(K.T, self.E5) / scale
-            self._err3[slots] = np.dot(K.T, self.E3) / scale
-            err5_norm_2 = np.linalg.norm(self._err5[:-1]) ** 2
-            err3_norm_2 = np.linalg.norm(self._err3[:-1]) ** 2
-            if err5_norm_2 == 0 and err3_norm_2 == 0:
-                return 0.0
-            denom = err5_norm_2 + 0.01 * err3_norm_2
-            return np.abs(h) * err5_norm_2 / np.sqrt(denom * self.layout.n)
-
-    return _CompactDOP853
-
-
 def _check_grid(t_grid: np.ndarray, tol: float) -> None:
     """ValueError unless ``t_grid`` holds at least two points, finite and
-    strictly increasing, and 0 < ``tol`` < 1."""
+    strictly increasing, and 100 eps <= ``tol`` < 1."""
     if t_grid.size < 2 or not np.all(np.isfinite(t_grid)):
-        # one point is refused too: scipy's output over a zero-length span is
-        # real, so it would drop y0's imaginary parts
+        # one point is refused too: a zero-length span takes no step
         raise ValueError("t_grid must hold at least two points, all finite")
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must be in (0, 1), got {tol!r}")
+    if not ode.MIN_RTOL <= tol < 1:
+        raise ValueError(f"tol must be in [100 eps, 1) = [{ode.MIN_RTOL:.4g}, 1), got {tol!r}")
 
 
 def _grid_solve(fun, t_grid: np.ndarray, y0: np.ndarray, rtol: float, atol: float, take,
@@ -439,34 +347,24 @@ def _grid_solve(fun, t_grid: np.ndarray, y0: np.ndarray, rtol: float, atol: floa
     the grid is kept here; the caller keeps or reduces what it needs.
 
     With a ``layout``, ``fun`` and ``y0`` live on its compact state and
-    ``rows`` index it; ``_CompactDOP853`` steps it with the bits of the full
-    state's solve_ivp (at one BLAS thread; see ``single_photon_response``):
-    error norm and initial step over the full length, and a layout that keeps
-    zgemv's tail rows.
+    ``rows`` index it; ``ode.DOP853`` steps it with the bits of the full
+    state's solve_ivp (at one BLAS thread; see ``single_photon_response``).
 
     ValueError unless the grid holds at least two points, finite and strictly
-    increasing, and 0 < ``rtol`` < 1 (the ``tol`` of the callers).
+    increasing, and 100 eps <= ``rtol`` < 1 (the ``tol`` of the callers).
     """
-    from scipy.integrate import DOP853
-
     _check_grid(t_grid, rtol)
-    problem = (fun, float(t_grid[0]), y0, float(t_grid[-1]))
-    solver = (DOP853(*problem, rtol=rtol, atol=atol) if layout is None
-              else _compact_dop853()(*problem, rtol, atol, layout))
-    i = accepted = rejected = 0
+    solver = ode.DOP853(fun, float(t_grid[0]), y0, float(t_grid[-1]), rtol, atol, layout)
+    i = 0
     while solver.status == "running":
-        nfev = solver.nfev
         message = solver.step()
         if solver.status == "failed":
             raise RuntimeError(f"{what} integration failed: {message}")
-        tries = (solver.nfev - nfev) // solver.n_stages   # DOP853 calls the RHS 12 times a try
-        accepted += tries > 0
-        rejected += max(tries - 1, 0)
         j = np.searchsorted(t_grid, solver.t, side="right")
         if j > i:
             take(i, solver.dense_output()(t_grid[i:j])[rows])
             i = j
-    return solver.nfev, (accepted, rejected)
+    return solver.nfev, (solver.accepted, solver.rejected)
 
 
 def lindblad_propagate(
@@ -484,7 +382,7 @@ def lindblad_propagate(
     The density matrix is symmetrized at every output time; trace drift and
     top-Fock-layer population are monitored.  ValueError for a ``t_grid`` of
     fewer than two points, non-finite or not strictly increasing, or ``tol``
-    outside (0, 1).
+    outside [100 eps, 1).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     dim = rho0.shape[0]
@@ -626,11 +524,13 @@ def _first_click_absorption(
         v1 = c1 @ psi + xi * g00
         return np.concatenate([dpsi, [np.real(np.vdot(v1, v1))]])
 
-    y0 = np.zeros(dim + 1, dtype=complex)
-    sol = solve_ivp(rhs, t_span, y0, method="DOP853", rtol=tol, atol=tol * 1e-3)
-    if not sol.success:
-        raise RuntimeError(f"no-jump absorption integration failed: {sol.message}")
-    return 1.0 - float(np.real(sol.y[dim, -1])), sol.nfev
+    solver = ode.DOP853(rhs, float(t_span[0]), np.zeros(dim + 1, dtype=complex),
+                        float(t_span[1]), tol, tol * 1e-3)
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise RuntimeError(f"no-jump absorption integration failed: {message}")
+    return 1.0 - float(np.real(solver.y[dim])), solver.nfev
 
 
 def _support(lv: sparse.csr_matrix, seeds: np.ndarray) -> np.ndarray:
@@ -767,20 +667,20 @@ def single_photon_response(
     ValueError otherwise).  So rho_00 is stationary and rho_10 = |x(t)><g,0,0|
     exactly, and the right-hand side evolves only that column (dim entries,
     not dim^2), and rho_11 only on the entries that L and the source can reach
-    (1210 of 4356 at (1,10)).  DOP853 steps only those 1276 of the 2 dim^2 =
-    8712 entries, as a compact state (``_CompactDOP853``).  No grid of states
-    is stored: as the solve reaches grid points, their evolved entries fill
-    one block of _CHUNK points, and each block, when full and at the grid's
-    end, is rebuilt into full rho_10 and rho_11 blocks and reduced at once to
-    the output channels by per-time-point einsums.  Three rules give the
-    compact state the bits, steps and RHS calls of stepping all 2 dim^2
-    entries:
+    (1210 of 4356 at (1,10)).  ``ode.DOP853`` steps only those 1276 of the
+    2 dim^2 = 8712 entries, as a compact state (its ``_CompactLayout``).  No
+    grid of states is stored: as the solve reaches grid points, their evolved
+    entries fill one block of _CHUNK points, and each block, when full and at
+    the grid's end, is rebuilt into full rho_10 and rho_11 blocks and reduced
+    at once to the output channels by per-time-point einsums.  Three rules
+    give the compact state the bits, steps and RHS calls of stepping all
+    2 dim^2 entries:
 
     * the error norm is taken over the full length: the compact err5/scale
       and err3/scale are scattered into full-length zeros, because numpy's
       norm sums by position;
-    * the initial step comes from scipy's ``select_initial_step`` on the full
-      y0 and the scattered f0, and its RHS call is counted as before;
+    * the initial step is chosen from the full y0 and the scattered f0, and
+      its RHS call is counted as before;
     * the layout (``_CompactLayout``) keeps OpenBLAS's zgemv tail rows: the
       evolved entries in full-index order, zero-padded to a multiple of 16,
       then the last (2 dim^2 mod 16) full entries.
@@ -792,7 +692,7 @@ def single_photon_response(
     is even; each one checked also matched at two threads.
 
     ValueError for a ``t_grid`` of fewer than two points, non-finite or not
-    strictly increasing, or ``tol`` outside (0, 1).
+    strictly increasing, or ``tol`` outside [100 eps, 1).
 
     Diagnostics (written to no artifact): ``rhs_evals``, the right-hand-side
     calls of the hierarchy and absorption solves, wherever the absorption
@@ -827,9 +727,6 @@ def single_photon_response(
         raise ValueError("single_photon_response needs a dark |g,0,0>: "
                          "H or a collapse operator does not annihilate it")
     from .model import nonhermitian
-
-    # loaded before the fork, so that the absorption child does not import it again
-    import scipy.integrate  # noqa: F401
 
     absorption = functools.partial(
         _first_click_absorption, nonhermitian(h, cols), cols.get("kappa1"),

@@ -26,11 +26,6 @@ own threshold, bit for bit as a solve_ivp event run of its own would.
 
 RNG streams are counter-based (Philox) keyed by (base_seed, trajectory index),
 so ensembles are reproducible for any worker count.
-
-scipy.integrate and scipy.optimize are imported in ``PulsePath``, the only
-route that steps an ODE or finds a root (pulse input, or an ill-conditioned
-eigenbasis), not with this module: an ensemble on the eigen path never needs
-them, and the import costs a process about 0.2 s and 20 MB.
 """
 
 from __future__ import annotations
@@ -43,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ode
 from .artifacts import write_csv
 from .dynamics import PulseSpec, fork_map, gaussian_pulse, pool_workers
 # unused, kept while perfbench/tracer.py wraps it by name
@@ -167,7 +163,7 @@ def _photon_port(collapses: CollapseSet, space: HilbertSpace | None, pulse: Puls
 
 
 class PulsePath:
-    """A no-jump state stepped by DOP853, on which thresholds find their jump.
+    """A no-jump state stepped by ``ode.DOP853``, on which thresholds find their jump.
 
     For a single-photon input it is the pre-click state, shared by an ensemble:
     before the first jump every trajectory follows the same unnormalized state,
@@ -181,7 +177,7 @@ class PulsePath:
     solver then steps only as far as the thresholds asked so far reach, keeping
     each step's end-point norm and dense output.  ``crossing(u)`` replays
     solve_ivp's terminal event (direction -1) on those steps: the first step
-    whose norm falls through u, and brentq to 4 eps on its interpolant.  The
+    whose norm falls through u, and ``ode.brentq`` to 4 eps on its interpolant.  The
     steps never depend on u or on the dense output, so every jump time and
     pre-jump state is bit for bit that of a solve_ivp event run of its own.
     """
@@ -189,8 +185,6 @@ class PulsePath:
     def __init__(self, h_nh: np.ndarray, collapses: CollapseSet, space: HilbertSpace | None,
                  pulse: PulseSpec | None, t_start: float, t_end: float,
                  psi0: np.ndarray | None = None):
-        from scipy.integrate import DOP853
-
         self.pulse = pulse
         self.t_start, self.t_end = float(t_start), float(t_end)
         if pulse is not None:
@@ -203,7 +197,7 @@ class PulsePath:
             return dy
 
         y0 = np.zeros(len(h_nh), dtype=complex) if psi0 is None else psi0
-        self._solver = DOP853(rhs, self.t_start, y0, self.t_end, rtol=1e-10, atol=1e-12)
+        self._solver = ode.DOP853(rhs, self.t_start, y0, self.t_end, rtol=1e-10, atol=1e-12)
         self._norms = [self._norm(self.t_start, y0)]   # event base at t_start and each step end
         self._steps: list = []                          # (t_old, t, dense output) of each step
 
@@ -223,8 +217,6 @@ class PulsePath:
     def crossing(self, u: float):
         """(time, state, True) where the norm first falls through u, the state
         the pre-jump one; (t_end, final state, False) when it never does."""
-        from scipy.optimize import brentq
-
         k = 0
         while True:
             if k + 1 == len(self._norms):
@@ -233,8 +225,8 @@ class PulsePath:
                 self._step()
             if self._norms[k] - u >= 0 and self._norms[k + 1] - u <= 0:
                 t_old, t_new, dense = self._steps[k]
-                root = brentq(lambda tt: self._norm(tt, dense(tt)) - u, t_old, t_new,
-                              xtol=4 * _EPS, rtol=4 * _EPS)
+                root = ode.brentq(lambda tt: self._norm(tt, dense(tt)) - u, t_old, t_new,
+                                  xtol=4 * _EPS, rtol=4 * _EPS)
                 return root, dense(root), True
             k += 1
 

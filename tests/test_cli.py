@@ -314,6 +314,20 @@ class TestExperiments:
         assert main(argv) == 2
         assert f"config error: {flag} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["1e-15", "2e-14", "0.5e-100"])
+    def test_tol_below_100_eps_is_config_error(self, tol, tmp_path, capsys, monkeypatch):
+        # DOP853 would run at 100 eps instead; refused before any solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("single_photon_response called")
+
+        monkeypatch.setattr(spt.cli, "single_photon_response", no_solve)
+        assert main(["pulse-response", "--tol", tol]) == 2
+        assert "config error: --tol must be in [100 eps, 1)" in capsys.readouterr().err
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"tol": float(tol)}))
+        assert main(["--config", str(conf), "pulse-response"]) == 2
+        assert "--tol must be in [100 eps, 1)" in capsys.readouterr().err
+
     def test_out_of_range_seed_in_config_is_config_error(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"seed": 2**64}))
@@ -398,16 +412,24 @@ class TestExperiments:
         assert kept.read_bytes() == b"earlier run\n"
 
 
-# each stationary experiment at a tiny size, then pulse-response; serial, so
-# that every solve runs in this process
+# each stationary experiment at a tiny size, then the routes that step an ODE
+# or find a root: pulse-response, a single-photon-input ensemble and an
+# ill-conditioned segment's PulsePath; serial, so that every solve runs in
+# this process
 _IMPORT_BUDGET = """
 import json
 import os
 import sys
 
-import spt.cli
+import numpy as np
 
-lazy = ("scipy.integrate", "scipy.optimize")
+import spt.cli
+from spt.dynamics import PulseSpec
+from spt.hilbert import HilbertSpec, build_space
+from spt.model import SystemParams, collapse_set, hamiltonian_ideal, nonhermitian
+from spt.montecarlo import PulsePath, gain_statistics
+
+lazy = ("scipy.integrate", "scipy.optimize", "scipy.special")
 for argv in (["setting-rate", "--kappa2-grid", "1:2:2", "--n2", "3"],
              ["reflection", "--n2", "3", "--n2-reflection", "2",
               "--kappa1-grid", "0.01:0.02:2", "--threads", "1"],
@@ -421,6 +443,15 @@ for argv in (["setting-rate", "--kappa2-grid", "1:2:2", "--n2", "3"],
 print(json.dumps([name for name in lazy if name in sys.modules]))
 assert spt.cli.main(["pulse-response", "--n2", "2", "--points", "20", "--tol", "1e-5",
                      "-o", os.devnull]) == 0
+p = SystemParams(g1=0.25, g2=1, omega=2, kappa2=1)
+gain_statistics(p, 2, 200.0, 3, spec=HilbertSpec(1, 3), init="single-photon-input",
+                pulse=PulseSpec.from_tau(tau=20.0, center_time=60.0), threads=1)
+space = build_space(HilbertSpec(1, 3))
+p = p.replace(kappa1=0.2)
+cols = collapse_set(p, None, space)
+path = PulsePath(nonhermitian(hamiltonian_ideal(p, space), cols), cols, space, None, 0.0, 50.0,
+                 psi0=space.basis_state("e", 0, 0).astype(complex))
+assert path.crossing(0.5)[2]
 print(json.dumps([name for name in lazy if name in sys.modules]))
 """
 
@@ -430,6 +461,6 @@ def test_stationary_experiments_leave_ode_and_root_finding_unloaded(tmp_path):
     run = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    stationary, pulse = (json.loads(line) for line in run.stdout.splitlines())
+    stationary, stepped = (json.loads(line) for line in run.stdout.splitlines())
     assert stationary == []
-    assert pulse == ["scipy.integrate", "scipy.optimize"]
+    assert stepped == []

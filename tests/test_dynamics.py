@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.integrate import DOP853, solve_ivp
 
 import spt.dynamics
+import spt.ode
 from spt.hilbert import HilbertSpec, build_space
 from spt.model import (CollapseSet, DecoherenceParams, SystemParams, collapse_set,
                        hamiltonian_ideal, nonhermitian)
@@ -414,12 +415,18 @@ class TestSinglePhoton:
                 return fun(t, y)
             return f
 
+        class CountedDOP853(spt.ode.DOP853):
+            # the absorption's solver is the one without a compact layout
+            def __init__(self, fun, t0, y0, t_bound, rtol, atol, layout=None):
+                if layout is None:
+                    fun = counted("absorption", fun)
+                super().__init__(fun, t0, y0, t_bound, rtol, atol, layout)
+
         # the hierarchy RHS is counted where it is built, the absorption RHS
-        # where its solve_ivp receives it
+        # where its stepper receives it
         monkeypatch.setattr(spt.dynamics, "_hierarchy_rhs",
                             lambda *a: counted("hierarchy", hierarchy_rhs(*a)))
-        monkeypatch.setattr(spt.dynamics, "solve_ivp",
-                            lambda fun, *a, **kw: solve_ivp(counted("absorption", fun), *a, **kw))
+        monkeypatch.setattr(spt.ode, "DOP853", CountedDOP853)
         p = SystemParams(g1=0.3, g2=1, omega=2, kappa1=0.18, kappa2=1)
         tau = 6.0 / p.kappa1
         pulse = PulseSpec.from_tau(tau=tau, center_time=4.5 * tau)
@@ -1072,6 +1079,9 @@ class TestArguments:
         ([0.0, 10.0], 1.0, "tol must be in"),
         ([0.0, 10.0], 2.0, "tol must be in"),
         ([0.0, 10.0], np.nan, "tol must be in"),
+        # below 100 eps DOP853 would run at 100 eps instead
+        ([0.0, 10.0], 1e-15, "tol must be in"),
+        ([0.0, 10.0], 0.99 * spt.ode.MIN_RTOL, "tol must be in"),
     ])
     def test_value_error(self, grid, tol, match):
         grid = np.array(grid, dtype=float)
@@ -1084,10 +1094,18 @@ class TestArguments:
             single_photon_response(self.P, PulseSpec.from_tau(tau=30.0, center_time=135.0), grid,
                                    spec=HilbertSpec(1, 2), tol=tol)
 
+    def test_tol_of_100_eps_is_honoured(self, recwarn):
+        space = build_space(HilbertSpec(1, 2))
+        psi = space.basis_state("e", 0, 0)
+        ts, _ = lindblad_propagate(hamiltonian_ideal(self.P, space),
+                                   collapse_set(self.P, None, space), np.outer(psi, psi.conj()),
+                                   np.array([0.0, 1.0]), tol=spt.ode.MIN_RTOL)
+        assert len(ts.times) == 2 and not recwarn.list
+
 
 class TestCompactDOP853:
-    """spt.dynamics._CompactDOP853 on a compact state replays scipy's DOP853
-    on the full state bit for bit."""
+    """spt.ode.DOP853 with a _CompactLayout, on a compact state, replays
+    DOP853 on the full state bit for bit."""
 
     @staticmethod
     def _problem(n):

@@ -6,7 +6,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.integrate
 from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
@@ -14,6 +13,7 @@ from scipy.integrate import solve_ivp
 
 import frozen_trajectory
 import spt.montecarlo as mc
+import spt.ode
 from spt.hilbert import HilbertSpec, build_space
 from spt.model import (CollapseSet, SystemParams, collapse_set, hamiltonian_finite_A,
                        hamiltonian_ideal, nonhermitian)
@@ -389,7 +389,7 @@ class TestPulsePath:
         space, cols, h_nh, init, duration, n_traj, pulse = _pulse_input()
         built = []
 
-        class CountedDOP853(scipy.integrate.DOP853):
+        class CountedDOP853(spt.ode.DOP853):
             def __init__(self, *args, **kwargs):
                 built.append(args[1])
                 super().__init__(*args, **kwargs)
@@ -397,7 +397,7 @@ class TestPulsePath:
         def no_solve_ivp(*args, **kwargs):
             raise AssertionError("solve_ivp called on the eigen path")
 
-        monkeypatch.setattr(scipy.integrate, "DOP853", CountedDOP853)
+        monkeypatch.setattr(spt.ode, "DOP853", CountedDOP853)
         monkeypatch.setattr(mc, "solve_ivp", no_solve_ivp)
         trajs = run_ensemble(h_nh, cols, init, duration, n_traj, 9, pulse=pulse, space=space,
                              threads=1)
@@ -411,14 +411,14 @@ class TestPulsePath:
         ctx, caller = multiprocessing.get_context("fork"), os.getpid()
         steps = {"caller": ctx.Value("i", 0), "workers": ctx.Value("i", 0)}
 
-        class CountedDOP853(scipy.integrate.DOP853):
+        class CountedDOP853(spt.ode.DOP853):
             def step(self):
                 count = steps["caller" if os.getpid() == caller else "workers"]
                 with count.get_lock():
                     count.value += 1
                 return super().step()
 
-        monkeypatch.setattr(scipy.integrate, "DOP853", CountedDOP853)
+        monkeypatch.setattr(spt.ode, "DOP853", CountedDOP853)
         runs = {}
         for threads in (1, 2):
             for count in steps.values():
