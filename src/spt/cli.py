@@ -117,8 +117,25 @@ def _decoherence(args) -> DecoherenceParams | None:
     gamma_p = to_g2_units(args.gamma_phi, conv)
     if gamma == 0 and gamma_p == 0:
         return None
-    return DecoherenceParams(gamma_eg=gamma, gamma_fe=2 * gamma,
-                             gamma_p_ee=gamma_p, gamma_p_ff=2 * gamma_p)
+    return DecoherenceParams.from_rates(gamma=gamma, gamma_phi=gamma_p)
+
+
+def _gamma_set(args, params: SystemParams) -> float:
+    """Gamma_set of ``params``, for an experiment that scales with it, so
+    refused at 0."""
+    gamma_set = setting_rate(params, n2_trunc=args.n2).value
+    if gamma_set == 0:
+        raise ConfigError(f"{args.experiment} scales with Gamma_set, and Gamma_set = 0 here")
+    return gamma_set
+
+
+def _refuse_unread(args, dests, why: str = "") -> None:
+    """Refuse each of ``dests`` that was given (it is None when not), as the
+    experiment does not read it (``why``: with or without which other flag)."""
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            raise ConfigError(f"{args.experiment} does not read "
+                              f"--{dest.replace('_', '-')} {why}".rstrip())
 
 
 def _metadata(args, **extra) -> dict:
@@ -158,9 +175,12 @@ def run_setting_rate(args) -> int:
 
 def run_reflection(args) -> int:
     params = _sys_params(args)
-    gamma_set = setting_rate(params, n2_trunc=args.n2).value
-    grid = (np.geomspace(gamma_set / 10.0, gamma_set * 10.0, 41)
-            if args.kappa1_grid == "log" else _grid_in_g2(args, args.kappa1_grid))
+    if args.kappa1_grid == "log":
+        gamma_set = _gamma_set(args, params)
+        grid = np.geomspace(gamma_set / 10.0, gamma_set * 10.0, 41)
+    else:
+        gamma_set = setting_rate(params, n2_trunc=args.n2).value
+        grid = _grid_in_g2(args, args.kappa1_grid)
     r_num = reflection_sweep(params, grid, spec=HilbertSpec(2, args.n2_reflection),
                              decoherence=_decoherence(args), threads=args.threads)
     rows = [(k1, r, reflection_analytic(gamma_set, float(k1))) for k1, r in zip(grid, r_num)]
@@ -194,7 +214,7 @@ def run_gain(args) -> int:
 
 def run_pulse_response(args) -> int:
     params = _sys_params(args)
-    gamma_set = setting_rate(params, n2_trunc=args.n2).value
+    gamma_set = _gamma_set(args, params)
     p = params.replace(kappa1=gamma_set)
     tau = args.tau_kappa1 / gamma_set
     pulse = PulseSpec.from_tau(tau=tau, center_time=4.5 * tau)
@@ -234,6 +254,9 @@ def run_dark_counts(args) -> int:
     params = _sys_params(args)
     if not math.isfinite(params.anharmonicity):
         raise ConfigError("dark-counts requires a finite --anharmonicity")
+    if not args.trajectories:
+        _refuse_unread(args, ("duration", "threads"), "without --trajectories")
+    duration = 10000.0 if args.duration is None else args.duration
     grid = _grid_in_g2(args, args.a_grid) if args.a_grid else np.array([params.anharmonicity])
     rows = []
     for a in grid:
@@ -245,7 +268,7 @@ def run_dark_counts(args) -> int:
                nj.steady_single, nj.steady, nj.dynamical]
         if args.trajectories:
             est = dark_count_trajectories(p, n_traj=args.trajectories,
-                                          duration=args.duration, base_seed=args.seed,
+                                          duration=duration, base_seed=args.seed,
                                           threads=args.threads)
             row += [est.single_rate, est.enhanced_rate,
                     est.n_events_single, est.n_events_enhanced]
@@ -265,6 +288,7 @@ def run_dark_counts(args) -> int:
 
 def run_detection(args) -> int:
     if args.zeta_grid:
+        _refuse_unread(args, ("zeta", "sample"), "with --zeta-grid")
         zetas = parse_grid(args.zeta_grid)
         for z in zetas:   # roc_sweep builds these; a bad value is refused first
             _checked(DetectionParams, gain=args.gain_photons, modes=args.modes, zeta=float(z))
@@ -275,10 +299,11 @@ def run_detection(args) -> int:
                           "seed": args.seed}.items()),
                   ["zeta", "efficiency", "dark_probability"], rows)
     else:
+        zeta = 2.0 if args.zeta is None else args.zeta
         perf = detection_performance(_checked(
-            DetectionParams, gain=args.gain_photons, modes=args.modes, zeta=args.zeta))
+            DetectionParams, gain=args.gain_photons, modes=args.modes, zeta=zeta))
         payload = {"experiment": "detection", "gain": args.gain_photons,
-                   "modes": args.modes, "zeta": args.zeta,
+                   "modes": args.modes, "zeta": zeta,
                    "efficiency": perf.efficiency, "dark_probability": perf.dark_probability}
         if args.sample:
             obs = sample_observable(args.modes, 0.0, n_samples=args.sample, seed=args.seed)
@@ -315,15 +340,16 @@ _BOUNDS = {
     "tau_kappa1": (lambda v: 0 < v < math.inf, "finite and > 0"),
     # DOP853 cannot honour an rtol below 100 eps (ode.MIN_RTOL)
     "tol": (lambda v: MIN_RTOL <= v < 1, f"in [100 eps, 1) = [{MIN_RTOL:.4g}, 1)"),
-    "threads": (lambda v: v is None or v >= 1, "at least 1"),
+    "threads": (lambda v: v >= 1, "at least 1"),
+    "sample": (lambda v: v >= 0, "at least 0"),
     # Philox takes the seed as a 64-bit key word (montecarlo.trajectory_rng)
     "seed": (lambda v: -2**63 <= v < 2**63, "in [-2**63, 2**63)"),
 }
 
 
 def _check_bounds(args) -> None:
-    for dest, (ok, need) in _BOUNDS.items():
-        if hasattr(args, dest) and not ok(getattr(args, dest)):
+    for dest, (ok, need) in _BOUNDS.items():   # None: not given, where that is the default
+        if getattr(args, dest, None) is not None and not ok(getattr(args, dest)):
             raise ConfigError(f"--{dest.replace('_', '-')} must be {need}, "
                               f"got {getattr(args, dest)!r}")
 
@@ -397,15 +423,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, default=2000.0)
     p.add_argument("--trajectories", type=int, default=0,
                    help="trajectory count for the stochastic estimate (0 = skip)")
-    p.add_argument("--duration", type=float, default=10000.0)
+    p.add_argument("--duration", type=float, default=None,
+                   help="trajectory duration (default 10000; needs --trajectories)")
 
     p = experiment("detection", "heterodyne threshold performance", run_detection)
     p.add_argument("--gain-photons", type=float, default=200.0)
     p.add_argument("--modes", type=int, default=90)
-    p.add_argument("--zeta", type=float, default=2.0)
+    p.add_argument("--zeta", type=float, default=None,
+                   help="threshold (default 2; not with --zeta-grid)")
     p.add_argument("--zeta-grid", default=None)
-    p.add_argument("--sample", type=int, default=0,
-                   help="also Monte-Carlo sample the vacuum observable")
+    p.add_argument("--sample", type=int, default=None,
+                   help="also Monte-Carlo sample the vacuum observable "
+                        "(not with --zeta-grid)")
 
     return ap
 
@@ -466,9 +495,9 @@ def main(argv: list | None = None) -> int:
         args = _merge_config(ap, argv)
         _anharmonicity(args)   # refuses a finite value outside dark-counts
         _check_bounds(args)
-        for dest in _UNREAD_FLAGS.get(args.experiment, ()):
-            if getattr(args, dest) is not None:
-                raise ConfigError(f"{args.experiment} does not read --{dest.replace('_', '-')}")
+        unread = _UNREAD_FLAGS.get(args.experiment, ())
+        _refuse_unread(args, unread)
+        for dest in unread:
             setattr(args, dest, _SYSTEM_FLAGS[dest])
         return args.func(args)
     except (ConfigError, UnwritablePathError) as exc:

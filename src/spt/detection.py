@@ -47,25 +47,6 @@ class DetectionPerformance:
             raise ValueError("efficiency and dark probability must lie in [0, 1]")
 
 
-def vacuum_observable_moments(modes: int) -> tuple[float, float]:
-    """Mean and variance of the observable over vacuum: both equal M."""
-    if modes < 1:
-        raise ValueError("modes must be >= 1")
-    return float(modes), float(modes)
-
-
-def signal_observable_mean(gain: float, modes: int) -> float:
-    """Mean observable for a non-squeezed output of N photons: 2N + M."""
-    if modes < 1:
-        raise ValueError("modes must be >= 1")
-    return 2.0 * gain + float(modes)
-
-
-def detectability_margin(gain: float, modes: int) -> float:
-    """Signal excess over vacuum noise, 2N / sqrt(M); detection needs N >> sqrt(M/4)."""
-    return 2.0 * gain / math.sqrt(modes)
-
-
 def detection_performance(params: DetectionParams) -> DetectionPerformance:
     """Threshold efficiency and vacuum dark-count probability.
 
@@ -107,23 +88,6 @@ def sample_observable(
          + 1j * rng.standard_normal((n_samples, modes))) / math.sqrt(2.0)
     s = math.sqrt(2.0 * gain / modes) if gain > 0 else 0.0
     return np.sum(np.abs(g + s) ** 2, axis=1)
-
-
-def mode_count_estimate(
-    g2: float,
-    omega: float,
-    duration: float,
-) -> int:
-    """Number of output frequency modes M = ceil(d_omega T / 2 pi).
-
-    The emission spectrum spans d_omega ~ sqrt(g2^2 + omega^2) (the dressed
-    splitting scale) and the integration window T is the recovery-dominated
-    duration, T ~ 1 / gamma_rec.
-    """
-    if duration <= 0:
-        return 1
-    d_omega = math.hypot(g2, omega)
-    return max(1, math.ceil(d_omega * duration / (2.0 * math.pi)))
 
 
 def roc_sweep(gain: float, modes: int, zetas) -> list:

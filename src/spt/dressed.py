@@ -1,10 +1,10 @@
 """Analytic dressed states of the driven {|e,0,n2>, |f,0,n2>} manifold (n2 = 0, 1).
 
-At zero detunings the 4x4 excited block in the bare order
-(|e,0,0>, |f,0,0>, |e,0,1>, |f,0,1>) is a chain with couplings omega/2, g2,
-omega/2.  Its eigenvalues and the fixed-gauge eigenvector matrix P are known in
-closed form; the cavity-2 jump operator takes a three-coefficient form in the
-dressed basis.
+In the resonant model of ``spt.model`` (no detunings) the 4x4 excited block
+in the bare order (|e,0,0>, |f,0,0>, |e,0,1>, |f,0,1>) is a chain with
+couplings omega/2, g2, omega/2.  Its eigenvalues and the fixed-gauge
+eigenvector matrix P are known in closed form; the cavity-2 jump operator
+takes a three-coefficient form in the dressed basis.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ class DressedBasis:
 
 
 def excited_block(g2: float, omega: float) -> np.ndarray:
-    """Bare 4x4 excited-manifold Hamiltonian at zero detunings."""
+    """Bare 4x4 excited-manifold Hamiltonian of the resonant model."""
     w = 0.5 * omega
     return np.array(
         [

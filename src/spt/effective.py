@@ -83,10 +83,10 @@ def effective_jump(
 def _excited_block_nh(params: SystemParams, n2_trunc: int):
     """Non-Hermitian excited-subspace Hamiltonian over {|e,0,n2>, |f,0,n2>}.
 
-    Basis order (e,0), (f,0), (e,1), (f,1), ... up to n2_trunc.  At zero
-    detunings the diagonal is -i n2 kappa2 / 2, the drive couples e<->f within
-    each n2 with element omega/2, and the cavity coupling g2 sqrt(n2) links
-    (f, n2-1) <-> (e, n2).
+    Basis order (e,0), (f,0), (e,1), (f,1), ... up to n2_trunc.  In the
+    resonant model the diagonal is -i n2 kappa2 / 2, the drive couples e<->f
+    within each n2 with element omega/2, and the cavity coupling g2 sqrt(n2)
+    links (f, n2-1) <-> (e, n2).
     """
     n_states = 2 * (n2_trunc + 1)
     h = np.zeros((n_states, n_states), dtype=complex)

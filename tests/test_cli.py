@@ -267,6 +267,31 @@ class TestExperiments:
         assert main(argv) == 2
         assert f"{argv[0]} does not read {argv[1]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, unread", [
+        (["detection", "--zeta-grid", "0:3:4", "--sample", "100"], "--sample with --zeta-grid"),
+        (["detection", "--zeta-grid", "0:3:4", "--zeta", "5"], "--zeta with --zeta-grid"),
+        (["dark-counts", "--anharmonicity", "40", "--duration", "5"],
+         "--duration without --trajectories"),
+        (["dark-counts", "--anharmonicity", "40", "--threads", "2"],
+         "--threads without --trajectories"),
+        (["dark-counts", "--anharmonicity", "40", "--trajectories", "0", "--duration", "5"],
+         "--duration without --trajectories")])
+    def test_flag_unread_beside_another_is_config_error(self, argv, unread, capsys):
+        assert main(argv) == 2
+        assert f"config error: {argv[0]} does not read {unread}" in capsys.readouterr().err
+
+    def test_flag_unread_beside_another_in_config_is_config_error(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"zeta": 2}))
+        assert main(["--config", str(conf), "detection", "--zeta-grid", "0:3:4"]) == 2
+        assert "detection does not read --zeta with --zeta-grid" in capsys.readouterr().err
+
+    def test_reflection_at_zero_gamma_set_on_an_explicit_grid(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert main(["reflection", "--g1", "0", "--n2", "3", "--n2-reflection", "2",
+                     "--kappa1-grid", "0.1:0.2:2", "-o", str(out)]) == 0
+        assert "# gamma_set=0.0" in out.read_text().splitlines()
+
     def test_unread_flag_in_config_is_config_error(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"kappa1": 0.0}))
@@ -309,6 +334,7 @@ class TestExperiments:
         (["trajectories", "--seed", str(2**63)], "--seed"),
         (["dark-counts", "--anharmonicity", "40", "--seed", str(-2**63 - 1)], "--seed"),
         (["detection", "--sample", "10", "--seed", str(2**64 - 1)], "--seed"),
+        (["detection", "--sample", "-1"], "--sample"),
     ])
     def test_out_of_range_option_is_config_error(self, argv, flag, capsys):
         assert main(argv) == 2
@@ -384,6 +410,10 @@ class TestExperiments:
         (["detection", "--modes", "0", "--zeta", "2"], "modes must be >= 1"),
         (["detection", "--modes", "0", "--zeta-grid", "0:1:3"], "modes must be >= 1"),
         (["detection", "--zeta-grid=-1:1:3"], "zeta must be >= 0"),
+        (["pulse-response", "--g1", "0", "--n2", "3"],
+         "pulse-response scales with Gamma_set, and Gamma_set = 0"),
+        (["reflection", "--g1", "0", "--n2", "3", "--n2-reflection", "2"],
+         "reflection scales with Gamma_set, and Gamma_set = 0"),
     ])
     def test_bad_parameter_value_is_config_error(self, argv, message, capsys):
         # values that pass the flag checks and fail those of the parameter classes

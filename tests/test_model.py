@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frozen_hamiltonians
 from spt.hilbert import HilbertSpec, build_space, is_hermitian
 from spt.model import (CollapseSet, DecoherenceParams, SystemParams, collapse_set,
                        hamiltonian_finite_A, hamiltonian_ideal, nonhermitian)
@@ -96,8 +97,8 @@ def test_finite_A_large_A_limit():
 
 
 def test_finite_A_reduces_to_ideal_with_residuals_zeroed(space11):
-    # at Delta = delta1 = delta2 = 0, subtracting the A-diagonal and the three
-    # residual couplings must reproduce the zero-detuning ideal Hamiltonian
+    # subtracting the A-diagonal and the three residual couplings must
+    # reproduce the ideal Hamiltonian
     p = SystemParams(g1=0.07, g2=1, omega=1.3, anharmonicity=37.0)
     h_a = hamiltonian_finite_A(p, space11)
     assert is_hermitian(h_a)
@@ -119,14 +120,36 @@ def test_finite_A_reduces_to_ideal_with_residuals_zeroed(space11):
 @given(
     g1=st.floats(0, 0.3), omega=st.floats(0, 4),
     k1=st.floats(0, 2), k2=st.floats(0, 4),
-    de=st.floats(-1, 1), df=st.floats(-1, 1),
 )
 @settings(max_examples=40, deadline=None)
-def test_hamiltonian_hermitian_for_all_draws(g1, omega, k1, k2, de, df):
+def test_hamiltonian_hermitian_for_all_draws(g1, omega, k1, k2):
     space = build_space(HilbertSpec(1, 2))
-    p = SystemParams(g1=g1, g2=1, omega=omega, kappa1=k1, kappa2=k2,
-                     delta_e=de, delta_f=df)
+    p = SystemParams(g1=g1, g2=1, omega=omega, kappa1=k1, kappa2=k2)
     assert is_hermitian(hamiltonian_ideal(p, space))
+
+
+_ORACLE_SPACES = [build_space(HilbertSpec(*s)) for s in ((1, 10), (2, 8), (2, 16), (1, 2))]
+
+
+def _bits(h):
+    return np.ascontiguousarray(h).view(np.uint64)
+
+
+@given(
+    g1=st.floats(0, 0.3), omega=st.floats(0, 4), k2=st.floats(0, 4),
+    anh=st.floats(0.5, 1e3),
+)
+@settings(max_examples=30, deadline=None)
+def test_hamiltonians_equal_the_detuned_formulas_at_zero_detuning_bit_for_bit(g1, omega, k2, anh):
+    # tests/frozen_hamiltonians.py keeps the seven detuning terms the model
+    # dropped; at zero detuning every bit, signs of zeros included, is the same
+    p = SystemParams(g1=g1, g2=1, omega=omega, kappa2=k2)
+    p_a = p.replace(anharmonicity=anh)
+    for space in _ORACLE_SPACES:
+        assert np.array_equal(_bits(hamiltonian_ideal(p, space)),
+                              _bits(frozen_hamiltonians.hamiltonian_ideal(p, space)))
+        assert np.array_equal(_bits(hamiltonian_finite_A(p_a, space)),
+                              _bits(frozen_hamiltonians.hamiltonian_finite_A(p_a, space)))
 
 
 def test_collapse_split_reassembles(space11):
@@ -151,7 +174,9 @@ def test_split_covers_multiphoton_ground_rows():
 
 def test_decoherence_jump_convention(space11):
     gamma = 0.37
-    dec = DecoherenceParams.from_gamma(gamma)
+    dec = DecoherenceParams.from_rates(gamma=gamma)
+    assert DecoherenceParams.from_rates(gamma=gamma, gamma_phi=0.11) == DecoherenceParams(
+        gamma_eg=gamma, gamma_fe=2 * gamma, gamma_p_ee=0.11, gamma_p_ff=0.22)
     cols = collapse_set(SystemParams(), dec, space11)
     c_fe = cols.get("gamma_fe")
     assert np.allclose(c_fe.conj().T @ c_fe, 2 * gamma * space11.qutrit_op("f", "f"))

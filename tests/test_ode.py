@@ -291,3 +291,45 @@ def test_the_import_guard_sees_each_form():
         assert len(_scipy_ode_imports(ast.parse(source), Path("x.py"))) == 1, source
     for source in ["import scipy.sparse", "from scipy import sparse", "from .ode import DOP853"]:
         assert _scipy_ode_imports(ast.parse(source), Path("x.py")) == [], source
+
+
+def _unread_parameters(tree, path):
+    """(path, line, function, parameter) of each parameter of a function or
+    lambda in ``tree`` that its body never reads.  A name that starts with an
+    underscore is unread by design (a callback's fixed signature)."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                  if p is not None and not p.arg.startswith("_")]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        nodes = [n for stmt in body for n in ast.walk(stmt)]
+        read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read |= {n.target.id for n in nodes   # x += 1 reads x
+                 if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name)}
+        found += [(path.name, node.lineno, getattr(node, "name", "<lambda>"), p)
+                  for p in params if p not in read]
+    return found
+
+
+def test_spt_reads_every_parameter_it_takes():
+    # an argument that is accepted and then ignored is refused by design
+    src = Path(__file__).resolve().parents[1] / "src" / "spt"
+    assert [hit for path in sorted(src.glob("*.py"))
+            for hit in _unread_parameters(ast.parse(path.read_text()), path)] == []
+
+
+def test_the_unread_parameter_guard_sees_each_form():
+    sources = ["def f(x):\n    return 1", "def f(x, *, y):\n    return x",
+               "def f(*args):\n    pass", "def f(**kw):\n    pass",
+               "def f(x):\n    x: int = 1", "g = lambda t: 0",
+               "class C:\n    def m(self, x):\n        return self",
+               "async def f(x, /):\n    pass"]
+    for source in sources:
+        assert len(_unread_parameters(ast.parse(source), Path("x.py"))) == 1, source
+    for source in ["def f(x, *a, y, **k):\n    return x, a, y, k", "g = lambda _t: 0",
+                   "def f(x):\n    def h():\n        return x\n    return h",
+                   "def f(x, y=None):\n    x += y"]:
+        assert _unread_parameters(ast.parse(source), Path("x.py")) == [], source
