@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 from .dressed import DressedBasis, dressed_basis, jump_in_dressed_basis
 from .dynamics import (PulseSpec, TimeSeries, gain_and_bandwidth, gaussian_pulse,
                        lindblad_propagate, single_photon_response, steady_state_reflection)
-from .effective import (EffectiveJump, RateResult, dark_rates_steady, effective_jump,
-                        reflection_analytic, setting_rate, setting_rate_analytic)
+from .effective import (RateResult, dark_rates_steady, effective_jump, reflection_analytic,
+                        setting_rate, setting_rate_analytic)
 from .hilbert import HilbertSpec, HilbertSpace, build_space
 from .model import (CollapseSet, DecoherenceParams, SystemParams, collapse_set,
                     hamiltonian_finite_A, hamiltonian_ideal, nonhermitian)

@@ -4,13 +4,15 @@ A CSV artifact is ``# key=value`` header lines, in the order the caller
 passes them, then a row of column names and one comma-separated row per
 record.  A cell is written as itself when it is a string, in decimal when it
 is an integer, and as ``%.12g`` otherwise.  A JSON artifact is the payload
-with sorted keys, indented by two.  A path of None or '-' means stdout.
+with sorted keys, indented by two, and null for each number that is not
+finite (RFC 8259 has no NaN or infinity).  A path of None or '-' means stdout.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import sys
 
@@ -59,6 +61,17 @@ def write_csv(path, metadata_pairs, header, rows) -> None:
             out.write(",".join(_cell(x) for x in row) + "\n")
 
 
+def _finite_or_null(x):
+    """``x``, and each value of a dict ``x`` in depth, with null (None) for
+    a float that is not finite."""
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    return x
+
+
 def write_json(path, payload: dict) -> None:
     with _open(path) as out:
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        out.write(json.dumps(_finite_or_null(payload), sort_keys=True, indent=2,
+                             allow_nan=False) + "\n")

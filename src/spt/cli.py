@@ -19,14 +19,13 @@ from . import __version__
 from .artifacts import UnwritablePathError, check_writable, write_csv, write_json
 from .detection import DetectionParams, detection_performance, roc_sweep, sample_observable
 from .dynamics import PulseSpec, gain_and_bandwidth, reflection_sweep, single_photon_response
-from .effective import (SingularEliminationError, dark_rates_steady,
+from .effective import (SingularEliminationError, UndefinedRateError, dark_rates_steady,
                         reflection_analytic, setting_rate, setting_rate_analytic)
 from .hilbert import HilbertSpec
 from .model import DecoherenceParams, SystemParams
 from .montecarlo import (dark_count_trajectories, gain_statistics, no_jump_rates,
                          trajectories_to_csv)
 from .ode import MIN_RTOL
-from .units import to_g2_units
 
 
 class ConfigError(ValueError):
@@ -99,25 +98,20 @@ def _checked(build, *args, **kwargs):
 
 def _sys_params(args) -> SystemParams:
     conv = _conv(args)
-    anh = to_g2_units(_anharmonicity(args), conv)
     return _checked(
         SystemParams,
-        g1=to_g2_units(args.g1, conv),
+        g1=args.g1 / conv,
         g2=1.0,
-        omega=to_g2_units(args.omega, conv),
-        kappa1=to_g2_units(args.kappa1, conv),
-        kappa2=to_g2_units(args.kappa2, conv),
-        anharmonicity=anh,
+        omega=args.omega / conv,
+        kappa1=args.kappa1 / conv,
+        kappa2=args.kappa2 / conv,
+        anharmonicity=_anharmonicity(args) / conv,
     )
 
 
-def _decoherence(args) -> DecoherenceParams | None:
+def _decoherence(args) -> DecoherenceParams:
     conv = _conv(args)
-    gamma = to_g2_units(args.gamma, conv)
-    gamma_p = to_g2_units(args.gamma_phi, conv)
-    if gamma == 0 and gamma_p == 0:
-        return None
-    return DecoherenceParams.from_rates(gamma=gamma, gamma_phi=gamma_p)
+    return _checked(DecoherenceParams, gamma=args.gamma / conv, gamma_phi=args.gamma_phi / conv)
 
 
 def _gamma_set(args, params: SystemParams) -> float:
@@ -500,7 +494,7 @@ def main(argv: list | None = None) -> int:
         for dest in unread:
             setattr(args, dest, _SYSTEM_FLAGS[dest])
         return args.func(args)
-    except (ConfigError, UnwritablePathError) as exc:
+    except (ConfigError, UnwritablePathError, UndefinedRateError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (SingularEliminationError, np.linalg.LinAlgError, RuntimeError) as exc:

@@ -29,7 +29,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from . import ode
-from .effective import setting_rate
+from .effective import UndefinedRateError, setting_rate
 from .hilbert import HilbertSpec, HilbertSpace, build_space
 from .model import CollapseSet, DecoherenceParams, SystemParams, collapse_set, hamiltonian_ideal
 from .ode import _CompactLayout
@@ -859,8 +859,12 @@ def gain_and_bandwidth(
     integration: one trace-fixed LU of the Liouvillian gives the steady state
     rho_inf and the resolvent X with L X = rho_inf - rho0, and
     N_out2 = kappa2 tr[n2 X] (the steady state holds no cavity-2 photon).
+    UndefinedRateError when Gamma_set is undefined or 0: with kappa1 = 0
+    nothing brings the qutrit back to g, and the steady state is not unique.
     """
     gamma_set = setting_rate(params, n2_trunc=n2_trunc).value
+    if gamma_set == 0:
+        raise UndefinedRateError("the gain is taken at kappa1 = Gamma_set, and Gamma_set = 0 here")
     p = params.replace(kappa1=gamma_set)
     space = build_space(HilbertSpec(n1_trunc, n2_trunc))
     h = hamiltonian_ideal(p, space)

@@ -23,14 +23,10 @@ class SingularEliminationError(RuntimeError):
     """Raised when the eliminated-subspace H_NH cannot be inverted reliably."""
 
 
-@dataclass
-class EffectiveJump:
-    matrix: np.ndarray          # L_eff, shape (n_out, n_ground)
-
-    def rate(self) -> float:
-        """<src| L_eff^dag L_eff |src> for the first ground-state source column."""
-        col = self.matrix[:, 0]
-        return float(np.real(np.vdot(col, col)))
+class UndefinedRateError(ValueError):
+    """Raised for a rate that the model leaves undefined at the given
+    parameters: Gamma_set at omega = 0, or a result taken at kappa1 = Gamma_set
+    when Gamma_set = 0."""
 
 
 @dataclass
@@ -49,8 +45,9 @@ def effective_jump(
     c: np.ndarray,
     h_nh: np.ndarray,
     v_plus: np.ndarray,
-) -> EffectiveJump:
-    """L_eff = C H_NH^{-1} V+ via a linear solve (no explicit inverse).
+) -> np.ndarray:
+    """L_eff = C H_NH^{-1} V+ via a linear solve (no explicit inverse), of
+    shape (n_out, n_ground).
 
     All operators act on the eliminated subspace: h_nh is (nE, nE), v_plus maps
     ground columns into it, c maps it onto the jump targets.  The solve residual
@@ -73,7 +70,7 @@ def effective_jump(
         raise SingularEliminationError(
             f"elimination solve residual {resid / scale:.3g} exceeds 1e-10 (cond={cond:.3g})"
         )
-    return EffectiveJump(matrix=c @ x)
+    return c @ x
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +113,12 @@ def setting_rate(params: SystemParams, n2_trunc: int = 10) -> RateResult:
 
     Gamma_set = <g,1,0| L_eff^dag L_eff |g,1,0> with V+ = g1 |e,0,0><g,1,0|.
     The result carries the convergence delta against truncation n2_trunc - 1.
+    UndefinedRateError at omega = 0, where the Raman channel closes.
     """
     if n2_trunc < 1:
         raise ValueError("n2_trunc must be >= 1")
+    if params.omega <= 0:
+        raise UndefinedRateError("Gamma_set is undefined at omega = 0: the Raman channel closes")
     if params.g1 > 0.2 * min(params.g2, params.omega):
         warnings.warn(
             "g1 is not perturbative relative to (g2, omega); "
@@ -130,7 +130,8 @@ def setting_rate(params: SystemParams, n2_trunc: int = 10) -> RateResult:
         h, c, idx = _excited_block_nh(params, n2t)
         v = np.zeros((h.shape[0], 1), dtype=complex)
         v[idx("e", 0), 0] = params.g1
-        return effective_jump(c, h, v).rate()
+        col = effective_jump(c, h, v)[:, 0]
+        return float(np.real(np.vdot(col, col)))
 
     value = rate_at(n2_trunc)
     delta = value - rate_at(n2_trunc - 1) if n2_trunc >= 2 else math.nan
@@ -258,8 +259,8 @@ def dark_rates_steady(params: SystemParams, extended_space: bool = False) -> Dar
     i_g00 = space.index("g", 0, 0)
     i_e00 = space.index("e", 0, 0)
     i_f00 = space.index("f", 0, 0)
-    single = abs(jump_g.matrix[i_g00, 0]) ** 2
-    enhanced = abs(jump_e.matrix[i_e00, 0]) ** 2 + abs(jump_e.matrix[i_f00, 0]) ** 2
+    single = abs(jump_g[i_g00, 0]) ** 2
+    enhanced = abs(jump_e[i_e00, 0]) ** 2 + abs(jump_e[i_f00, 0]) ** 2
 
     trunc = space.dim - 1 if extended_space else len(DARK_STATE_LABELS) - 1
     return DarkSteadyRates(

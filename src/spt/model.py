@@ -14,6 +14,9 @@ Conventions (all rates in units of g2 unless converted):
   lower:upper matrix-element ratio, so the residual drive on g<->e has matrix
   element omega/(2*sqrt(2)) and the residual cavity couplings are
   sqrt(2)*g1 (a1^dag sigma_fe^- + h.c.) and (g2/sqrt(2))(a2^dag sigma_eg^- + h.c.).
+* Qutrit decoherence is two rates with the ladder scaling of Koch et al.,
+  PRA 76, 042319 (2007): radiative gamma (gamma_eg = gamma, gamma_fe = 2 gamma)
+  and pure dephasing gamma_phi (gamma_p_ee = gamma_phi, gamma_p_ff = 2 gamma_phi).
 """
 
 from __future__ import annotations
@@ -54,27 +57,15 @@ class SystemParams:
 
 @dataclass
 class DecoherenceParams:
-    """Qutrit radiative decay and pure dephasing rates."""
+    """Qutrit radiative decay and pure dephasing rates (the ladder scaling above)."""
 
-    gamma_eg: float = 0.0
-    gamma_fe: float = 0.0
-    gamma_p_ee: float = 0.0
-    gamma_p_ff: float = 0.0
+    gamma: float = 0.0
+    gamma_phi: float = 0.0
 
     def __post_init__(self):
         for name, v in self.__dict__.items():
             if v < 0:
                 raise ValueError(f"{name} must be >= 0, got {v}")
-
-    @classmethod
-    def from_rates(cls, gamma: float = 0.0, gamma_phi: float = 0.0) -> "DecoherenceParams":
-        """The sweep convention: gamma_eg = gamma, gamma_fe = 2 gamma,
-        gamma_p_ee = gamma_phi, gamma_p_ff = 2 gamma_phi."""
-        return cls(gamma_eg=gamma, gamma_fe=2 * gamma,
-                   gamma_p_ee=gamma_phi, gamma_p_ff=2 * gamma_phi)
-
-    def any_nonzero(self) -> bool:
-        return any(v > 0 for v in self.__dict__.values())
 
 
 @dataclass
@@ -167,9 +158,9 @@ def collapse_set(
 ) -> CollapseSet:
     """All jump operators: cavity decays, qutrit decoherence, optional G/E split.
 
-    With split=True the cavity-2 jump is additionally returned as the pair
-    (C_G, C_E) built from the qutrit-g projector P_G and its complement P_E
-    (qutrit in e or f); C_G + C_E = sqrt(kappa2) a2 exactly because a2 is
+    With split=True the cavity-2 jump is replaced by the pair (C_G, C_E),
+    built from the qutrit-g projector P_G and its complement P_E (qutrit in e
+    or f); C_G + C_E = sqrt(kappa2) a2 exactly because a2 is
     block-diagonal in the qutrit index.
     """
     a1 = space.annihilation("cavity1")
@@ -181,21 +172,16 @@ def collapse_set(
     if split:
         p_g = space.qutrit_projector("g")
         p_e = space.qutrit_projector("e", "f")
-        c2 = np.sqrt(params.kappa2) * a2
-        jumps = [
-            ("kappa1", np.sqrt(params.kappa1) * a1),
-            ("kappa2_G", p_g @ c2 @ p_g),
-            ("kappa2_E", p_e @ c2 @ p_e),
-        ]
-    if decoherence is not None and decoherence.any_nonzero():
-        if decoherence.gamma_eg > 0:
-            jumps.append(("gamma_eg", np.sqrt(decoherence.gamma_eg) * space.qutrit_op("g", "e")))
-        if decoherence.gamma_fe > 0:
-            jumps.append(("gamma_fe", np.sqrt(decoherence.gamma_fe) * space.qutrit_op("e", "f")))
-        if decoherence.gamma_p_ee > 0:
-            jumps.append(("gamma_p_ee", np.sqrt(decoherence.gamma_p_ee) * space.qutrit_op("e", "e")))
-        if decoherence.gamma_p_ff > 0:
-            jumps.append(("gamma_p_ff", np.sqrt(decoherence.gamma_p_ff) * space.qutrit_op("f", "f")))
+        c2 = jumps.pop()[1]   # the kappa2 jump, replaced by its G and E parts
+        jumps += [("kappa2_G", p_g @ c2 @ p_g), ("kappa2_E", p_e @ c2 @ p_e)]
+    if decoherence is not None:
+        gamma, gamma_phi = decoherence.gamma, decoherence.gamma_phi
+        if gamma > 0:
+            jumps.append(("gamma_eg", np.sqrt(gamma) * space.qutrit_op("g", "e")))
+            jumps.append(("gamma_fe", np.sqrt(2 * gamma) * space.qutrit_op("e", "f")))
+        if gamma_phi > 0:
+            jumps.append(("gamma_p_ee", np.sqrt(gamma_phi) * space.qutrit_op("e", "e")))
+            jumps.append(("gamma_p_ff", np.sqrt(2 * gamma_phi) * space.qutrit_op("f", "f")))
     return CollapseSet(jumps)
 
 

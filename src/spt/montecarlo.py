@@ -565,7 +565,7 @@ def counts_to_statistics(counts: np.ndarray) -> CountStatistics:
     counts = np.asarray(counts, dtype=float)
     n = len(counts)
     mean = float(counts.mean())
-    var = float(counts.var(ddof=1)) if n > 1 else 0.0
+    var = float(counts.var(ddof=1)) if n > 1 else math.nan   # undefined for one count
     hist: dict = {}
     for c in counts.astype(int):
         hist[int(c)] = hist.get(int(c), 0) + 1

@@ -10,7 +10,12 @@ scipy's bit for bit (tests/test_ode.py holds them to it).  spt imports
 neither scipy module: with the modules they load (scipy.special,
 scipy.spatial, scipy.fft, ...) they cost a process about 18 MB and 0.2 s.
 
-The one departure is the tolerance: scipy warns about an rtol below 100 eps
+``DOP853`` replays scipy only for what spt integrates, a complex state
+stepped forward over a span of nonzero length.  scipy's real-state, backward
+and zero-length branches are left out: a real ``y0`` is stepped as complex,
+and a span that is empty or runs backward is refused (ValueError).
+
+The other departure is the tolerance: scipy warns about an rtol below 100 eps
 and runs at 100 eps instead; ``DOP853`` refuses it (ValueError).
 """
 
@@ -208,18 +213,16 @@ def _rms(x: np.ndarray):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
+def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     """The first step size: Hairer, Norsett & Wanner, sec. II.4, as scipy's
     ``select_initial_step`` takes it (error estimator order 7, no max step)."""
-    interval_length = abs(t_bound - t0)
-    if interval_length == 0.0:
-        return 0.0
+    interval_length = t_bound - t0
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    f1 = fun(t0 + h0 * direction, y0 + h0 * direction * f0)
+    f1 = fun(t0 + h0, y0 + h0 * f0)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -229,13 +232,14 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
 
 
 class DOP853:
-    """DOP853 from ``t0`` towards ``t_bound``, one adaptive step a ``step()``
-    call, with scipy's interface to it: ``t``, ``t_old``, ``y``, ``status``
-    ('running', 'finished' or 'failed'), ``nfev`` and ``dense_output()``,
-    and the accepted and rejected tries of all steps so far (``accepted``,
-    ``rejected``).  ``y0`` may be real or complex; ``atol`` is a scalar.
-    ValueError for an ``rtol`` below 100 eps, a negative ``atol`` or a
-    ``y0`` that is not 1-D and finite.
+    """DOP853 forward from ``t0`` to ``t_bound``, one adaptive step a
+    ``step()`` call, with scipy's interface to it: ``t``, ``t_old``, ``y``,
+    ``status`` ('running', 'finished' or 'failed'), ``nfev`` and
+    ``dense_output()``, and the accepted and rejected tries of all steps so
+    far (``accepted``, ``rejected``).  The state is complex (``y0`` is taken
+    as complex); ``atol`` is a scalar.  ValueError for ``t_bound <= t0``, an
+    ``rtol`` below 100 eps, a negative ``atol`` or a ``y0`` that is not 1-D
+    and finite.
 
     With a ``layout`` (``_CompactLayout``), ``fun`` and ``y0`` live on its
     compact state, and the steps are, bit for bit, those of the full state
@@ -249,9 +253,9 @@ class DOP853:
 
     def __init__(self, fun, t0: float, y0, t_bound: float, rtol: float = 1e-3,
                  atol: float = 1e-6, layout: _CompactLayout | None = None):
-        y0 = np.asarray(y0)
-        dtype = complex if np.issubdtype(y0.dtype, np.complexfloating) else float
-        y0 = y0.astype(dtype, copy=False)
+        y0 = np.asarray(y0, dtype=complex)
+        if not t_bound > t0:
+            raise ValueError(f"t_bound must be after t0, got t0={t0!r}, t_bound={t_bound!r}")
         if y0.ndim != 1:
             raise ValueError("`y0` must be 1-dimensional.")
         if not np.isfinite(y0).all():
@@ -260,32 +264,30 @@ class DOP853:
             raise ValueError(f"rtol must be at least 100 eps = {MIN_RTOL!r}, got {rtol!r}")
         if atol < 0:
             raise ValueError(f"atol must be >= 0, got {atol!r}")
-        self._fun, self._dtype, self.layout = fun, dtype, layout
+        self._fun, self.layout = fun, layout
         self.t, self.y, self.t_bound, self.t_old = t0, y0, t_bound, None
         self.rtol, self.atol = rtol, atol
-        self.direction = np.sign(t_bound - t0) if t_bound != t0 else 1
         self.n = y0.size
         self.status = "running"
         self.nfev = self.accepted = self.rejected = 0
         self.f = self.fun(t0, y0)
         if layout is None:
-            self.h_abs = _initial_step(self.fun, t0, y0, t_bound, self.f, self.direction,
-                                       rtol, atol)
+            self.h_abs = _initial_step(self.fun, t0, y0, t_bound, self.f, rtol, atol)
         else:
             self.h_abs = _initial_step(
                 lambda t, y: layout.full(self.fun(t, layout.compact(y))), t0,
-                layout.full(y0), t_bound, layout.full(self.f), self.direction, rtol, atol)
+                layout.full(y0), t_bound, layout.full(self.f), rtol, atol)
             # full-length scatter targets of the error estimate; slot n takes the padding
-            self._err5 = np.zeros(layout.n + 1, dtype=dtype)
-            self._err3 = np.zeros(layout.n + 1, dtype=dtype)
-        self.K_extended = np.empty((N_STAGES_EXTENDED, self.n), dtype=dtype)
+            self._err5 = np.zeros(layout.n + 1, dtype=complex)
+            self._err3 = np.zeros(layout.n + 1, dtype=complex)
+        self.K_extended = np.empty((N_STAGES_EXTENDED, self.n), dtype=complex)
         self.K = self.K_extended[:N_STAGES + 1]
         self.y_old = self.h_previous = None
 
     def fun(self, t, y) -> np.ndarray:
         """The right-hand side at (t, y), counted in ``nfev``."""
         self.nfev += 1
-        return np.asarray(self._fun(t, y), dtype=self._dtype)
+        return np.asarray(self._fun(t, y), dtype=complex)
 
     def _error_norm(self, h, scale):
         """The error estimate's norm, blending the 5th- and 3rd-order estimators."""
@@ -302,7 +304,7 @@ class DOP853:
         if err5_norm_2 == 0 and err3_norm_2 == 0:
             return 0.0
         denom = err5_norm_2 + 0.01 * err3_norm_2
-        return np.abs(h) * err5_norm_2 / np.sqrt(denom * n)
+        return h * err5_norm_2 / np.sqrt(denom * n)
 
     def step(self) -> str | None:
         """Take one step, trying smaller ones until the error estimate passes;
@@ -310,22 +312,17 @@ class DOP853:
         if self.status != "running":
             raise RuntimeError("Attempt to step on a failed or finished solver.")
         t, y, K = self.t, self.y, self.K
-        if t == self.t_bound:
-            self.t_old, self.t, self.status = t, self.t_bound, "finished"
-            return None
-        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        min_step = 10 * (np.nextafter(t, np.inf) - t)
         h_abs = min_step if self.h_abs < min_step else self.h_abs
         step_rejected = False
         while True:
             if h_abs < min_step:
                 self.status = "failed"
                 return TOO_SMALL_STEP
-            h = h_abs * self.direction
-            t_new = t + h
-            if self.direction * (t_new - self.t_bound) > 0:
+            t_new = t + h_abs
+            if t_new > self.t_bound:
                 t_new = self.t_bound
-            h = t_new - t
-            h_abs = np.abs(h)
+            h = h_abs = t_new - t
 
             K[0] = self.f
             for s in range(1, N_STAGES):
@@ -352,7 +349,7 @@ class DOP853:
         self.accepted += 1
         self.h_previous, self.y_old, self.t_old = h, y, t
         self.t, self.y, self.h_abs, self.f = t_new, y_new, h_abs * factor, f_new
-        if self.direction * (t_new - self.t_bound) >= 0:
+        if t_new >= self.t_bound:
             self.status = "finished"
         return None
 
@@ -360,14 +357,11 @@ class DOP853:
         """The interpolant over the last step, a callable of a scalar or 1-D t."""
         if self.t_old is None:
             raise RuntimeError("Dense output is available after a successful step was made.")
-        if self.t == self.t_old:   # a zero-length span, t0 == t_bound
-            y = self.y
-            return lambda t: y if np.ndim(t) == 0 else np.repeat(y[:, None], len(t), axis=1)
         K, h = self.K_extended, self.h_previous
         for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
             dy = np.dot(K[:s].T, _A_ROWS[s]) * h
             K[s] = self.fun(self.t_old + C[s] * h, self.y_old + dy)
-        F = np.empty((INTERPOLATOR_POWER, self.n), dtype=self.y_old.dtype)
+        F = np.empty((INTERPOLATOR_POWER, self.n), dtype=complex)
         f_old = K[0]
         delta_y = self.y - self.y_old
         F[0] = delta_y
@@ -393,7 +387,7 @@ class _DenseOutput:
             y = np.zeros_like(self.y_old)
         else:
             x = x[:, None]
-            y = np.zeros((len(x), len(self.y_old)), dtype=self.y_old.dtype)
+            y = np.zeros((len(x), len(self.y_old)), dtype=complex)
         for i, f in enumerate(reversed(self.F)):
             y += f
             if i % 2 == 0:

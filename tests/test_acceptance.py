@@ -247,7 +247,7 @@ def test_criterion_7_gain_and_bandwidth():
     res = gain_and_bandwidth(p, n2_trunc=10)
     bw_mhz = res.bandwidth * G2_MHZ
     gain_with_gamma = gain_and_bandwidth(
-        p, DecoherenceParams.from_rates(gamma=GAMMA_PHYS), n2_trunc=10).gain
+        p, DecoherenceParams(gamma=GAMMA_PHYS), n2_trunc=10).gain
     gain_ok = abs(res.gain - 172.0) <= 0.15 * 172.0
     bw_ok = abs(bw_mhz - 0.6) <= 0.15 * 0.6
     report("7a", gain_ok and bw_ok,
@@ -337,8 +337,8 @@ def test_criterion_8_nightly_trajectory_eta():
 def test_criterion_9_dephasing_robustness():
     p = SystemParams(g1=0.05, g2=1, omega=2, kappa2=1)
     g0 = gain_and_bandwidth(p, None, n2_trunc=10).gain
-    g_phi = gain_and_bandwidth(p, DecoherenceParams.from_rates(gamma_phi=1e-2), n2_trunc=10).gain
-    g_rad = gain_and_bandwidth(p, DecoherenceParams.from_rates(gamma=1e-2), n2_trunc=10).gain
+    g_phi = gain_and_bandwidth(p, DecoherenceParams(gamma_phi=1e-2), n2_trunc=10).gain
+    g_rad = gain_and_bandwidth(p, DecoherenceParams(gamma=1e-2), n2_trunc=10).gain
     phi_dev = abs(g_phi - g0) / g0
     rad_red = (g0 - g_rad) / g0
     ok = phi_dev < 0.05 and rad_red > 0.10
@@ -385,7 +385,7 @@ def test_criterion_11_property_suite():
     space = build_space(HilbertSpec(1, 2))
     p = SystemParams(g1=0.1, g2=1, omega=1.7, kappa1=0.1, kappa2=0.8)
     h = hamiltonian_ideal(p, space)
-    cols = collapse_set(p, DecoherenceParams(0.02, 0.04, 0.01, 0.02), space)
+    cols = collapse_set(p, DecoherenceParams(0.02, 0.01), space)
 
     # density-matrix trace/hermiticity/positivity
     from spt.dynamics import lindblad_propagate

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -118,9 +119,10 @@ class TestExperiments:
     def test_mhz_without_reference_is_config_error(self):
         assert main(["setting-rate", "--units", "mhz"]) == 2
 
-    def test_numerical_failure_exit_code(self):
-        # omega = 0 closes the Raman channel: the closed forms raise
-        assert main(["setting-rate", "--omega", "0", "--kappa2-grid", "1:1:1"]) == 3
+    def test_numerical_failure_exit_code(self, capsys):
+        # at kappa2 = 1e-300 the trace-fixed resolvent overflows
+        assert main(["gain", "--kappa2", "1e-300", "--n2", "3"]) == 3
+        assert "numerical failure: resolvent residual inf" in capsys.readouterr().err
 
     def test_reflection_small_sweep(self, tmp_path):
         out = tmp_path / "refl.csv"
@@ -414,11 +416,62 @@ class TestExperiments:
          "pulse-response scales with Gamma_set, and Gamma_set = 0"),
         (["reflection", "--g1", "0", "--n2", "3", "--n2-reflection", "2"],
          "reflection scales with Gamma_set, and Gamma_set = 0"),
+        *[(argv, "Gamma_set is undefined at omega = 0") for argv in (
+            ["setting-rate", "--omega", "0", "--kappa2-grid", "1:1:1", "--n2", "3"],
+            ["reflection", "--omega", "0", "--n2", "3", "--n2-reflection", "2",
+             "--kappa1-grid", "0.1:0.2:2"],
+            ["reflection", "--omega", "0", "--n2", "3", "--n2-reflection", "2"],
+            ["gain", "--omega", "0", "--n2", "3"],
+            ["pulse-response", "--omega", "0", "--n2", "2", "--points", "20"],
+            ["trajectories", "--omega", "0", "--n-traj", "2", "--n1", "1", "--n2", "3",
+             "--duration", "10"],
+            ["dark-counts", "--omega", "0", "--anharmonicity", "40", "--t-end", "10"])],
+        (["gain", "--g1", "0", "--n2", "3"],
+         "the gain is taken at kappa1 = Gamma_set, and Gamma_set = 0"),
+        (["gain", "--gamma", "-1", "--n2", "3"], "gamma must be >= 0"),
     ])
     def test_bad_parameter_value_is_config_error(self, argv, message, capsys):
-        # values that pass the flag checks and fail those of the parameter classes
-        assert main(argv) == 2
+        # values that pass the flag checks and fail those of the parameter
+        # classes, or at which a rate the experiment needs is undefined
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # refused before any warning
+            assert main(argv) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["setting-rate", "--g1", "0", "--kappa2-grid", "1:2:3", "--n2", "4"],
+        ["trajectories", "--g1", "0", "--n-traj", "2", "--n1", "1", "--n2", "3",
+         "--duration", "10", "--threads", "1"],
+        ["dark-counts", "--g1", "0", "--anharmonicity", "40", "--t-end", "10"],
+        ["dark-counts", "--omega", "0", "--kappa1", "0.1", "--anharmonicity", "40",
+         "--t-end", "10"],
+    ])
+    def test_runs_where_gamma_set_is_zero_or_not_needed(self, tmp_path, argv):
+        # Gamma_set = 0 at g1 = 0 is a value these report or run at; dark-counts
+        # with its own kappa1 does not compute Gamma_set, so omega = 0 is fine
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # the no-jump rates warn at these values
+            assert main(argv + ["-o", str(out)]) == 0
+        assert out.stat().st_size > 0
+
+    @pytest.mark.parametrize("argv, undefined", [
+        (["trajectories", "--n-traj", "2", "--n1", "1", "--n2", "3", "--duration", "1e-3",
+          "--threads", "1"], {"g2_zero_mandel", "g2_zero_paper_sign"}),
+        (["trajectories", "--n-traj", "1", "--n1", "1", "--n2", "3", "--duration", "50"],
+         {"variance", "statistical_error", "g2_zero_mandel", "g2_zero_paper_sign"}),
+        (["detection", "--sample", "1"], {"vacuum_sample_variance"}),
+    ])
+    def test_json_artifact_is_strict_json(self, tmp_path, argv, undefined):
+        # RFC 8259 has no NaN: an undefined value is written as null
+        out = tmp_path / "out.json"
+        assert main(argv + ["-o", str(out)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(out.read_text(), parse_constant=refuse)
+        assert {key for key, val in payload.items() if val is None} == undefined
 
     @pytest.mark.parametrize("flag", ["-o", "--jump-log"])
     def test_unwritable_path_is_config_error(self, tmp_path, capsys, monkeypatch, flag):

@@ -135,7 +135,7 @@ class TestLindblad:
         space = build_space(HilbertSpec(1, 2))
         p = SystemParams(g1=0.2, g2=1, omega=1.5, kappa1=0.1, kappa2=0.7)
         h = hamiltonian_ideal(p, space)
-        cols = collapse_set(p, DecoherenceParams(0.05, 0.1, 0.02, 0.04), space)
+        cols = collapse_set(p, DecoherenceParams(0.05, 0.02), space)
         psi = space.basis_state("e", 0, 0)
         rho0 = np.outer(psi, psi.conj())
         t = np.linspace(0, 30, 31)
@@ -489,8 +489,7 @@ def _full_block_rhs(lv, space, kappa1, pulse, _support=None):
 class TestHierarchyColumn:
     @pytest.mark.parametrize("spec, dec", [
         (HilbertSpec(1, 4), None),
-        (HilbertSpec(1, 4), DecoherenceParams(gamma_eg=0.01, gamma_fe=0.02,
-                                              gamma_p_ee=0.005, gamma_p_ff=0.01)),
+        (HilbertSpec(1, 4), DecoherenceParams(gamma=0.01, gamma_phi=0.005)),
         (HilbertSpec(2, 3), None),
     ])
     def test_bitwise_equal_to_full_block_oracle(self, spec, dec):
@@ -644,7 +643,7 @@ def _assert_same_bits(res, ref):
     assert res.final_rho.tobytes() == ref.final_rho.tobytes()
 
 
-_DEC = DecoherenceParams(gamma_eg=0.01, gamma_fe=0.02, gamma_p_ee=0.005, gamma_p_ff=0.01)
+_DEC = DecoherenceParams(gamma=0.01, gamma_phi=0.005)
 
 
 def _at_one_blas_thread(statement):

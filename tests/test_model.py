@@ -173,13 +173,20 @@ def test_split_covers_multiphoton_ground_rows():
 
 
 def test_decoherence_jump_convention(space11):
-    gamma = 0.37
-    dec = DecoherenceParams.from_rates(gamma=gamma)
-    assert DecoherenceParams.from_rates(gamma=gamma, gamma_phi=0.11) == DecoherenceParams(
-        gamma_eg=gamma, gamma_fe=2 * gamma, gamma_p_ee=0.11, gamma_p_ff=0.22)
-    cols = collapse_set(SystemParams(), dec, space11)
-    c_fe = cols.get("gamma_fe")
-    assert np.allclose(c_fe.conj().T @ c_fe, 2 * gamma * space11.qutrit_op("f", "f"))
+    # the ladder scaling: gamma_fe = 2 gamma and gamma_p_ff = 2 gamma_phi, bit for bit
+    gamma, gamma_phi = 0.37, 0.11
+    cols = collapse_set(SystemParams(), DecoherenceParams(gamma, gamma_phi), space11)
+    expected = {"gamma_eg": np.sqrt(gamma) * space11.qutrit_op("g", "e"),
+                "gamma_fe": np.sqrt(2 * gamma) * space11.qutrit_op("e", "f"),
+                "gamma_p_ee": np.sqrt(gamma_phi) * space11.qutrit_op("e", "e"),
+                "gamma_p_ff": np.sqrt(2 * gamma_phi) * space11.qutrit_op("f", "f")}
+    assert cols.labels() == ["kappa1", "kappa2", *expected]
+    for label, op in expected.items():
+        assert cols.get(label).tobytes() == op.tobytes(), label
+    only_gamma = collapse_set(SystemParams(), DecoherenceParams(gamma=gamma), space11)
+    assert only_gamma.labels() == ["kappa1", "kappa2", "gamma_eg", "gamma_fe"]
+    with pytest.raises(ValueError, match="gamma_phi must be >= 0"):
+        DecoherenceParams(gamma_phi=-0.1)
 
 
 def test_zero_rates_empty_dynamics(space11):
@@ -190,7 +197,7 @@ def test_zero_rates_empty_dynamics(space11):
 
 def test_jump_psd(space11):
     p = SystemParams(kappa1=0.2, kappa2=1.1)
-    cols = collapse_set(p, DecoherenceParams(0.1, 0.2, 0.05, 0.1), space11)
+    cols = collapse_set(p, DecoherenceParams(0.1, 0.05), space11)
     for _, c in cols.jumps:
         cdc = c.conj().T @ c
         assert is_hermitian(cdc, tol=1e-10)
@@ -232,7 +239,7 @@ def test_norm_decay_rate_matches_jump_rates(space11):
 
     p = SystemParams(g1=0.1, g2=1, omega=1.5, kappa1=0.2, kappa2=0.8)
     h = hamiltonian_ideal(p, space11)
-    cols = collapse_set(p, DecoherenceParams(0.03, 0.06, 0.01, 0.02), space11)
+    cols = collapse_set(p, DecoherenceParams(0.03, 0.01), space11)
     h_nh = nonhermitian(h, cols)
     rng = np.random.default_rng(5)
     psi = rng.normal(size=space11.dim) + 1j * rng.normal(size=space11.dim)

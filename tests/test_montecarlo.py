@@ -441,6 +441,12 @@ class TestPulsePath:
             run_trajectory(h_nh, cols, init, duration - 1.0, (1, 0), pulse=pulse, space=space,
                            pulse_path=path)
 
+    @pytest.mark.parametrize("duration", [0.0, -5.0])
+    def test_path_that_does_not_go_forward_is_refused(self, duration):
+        space, cols, h_nh, init, _, _, pulse = _pulse_input()
+        with pytest.raises(ValueError, match="t_bound must be after t0"):
+            run_trajectory(h_nh, cols, init, duration, (1, 0), pulse=pulse, space=space)
+
 
 def _pulse_input_short():
     space, cols, h_nh, init, duration, _, pulse = _pulse_input()
