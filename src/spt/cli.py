@@ -173,8 +173,11 @@ def run_reflection(args) -> int:
         gamma_set = _gamma_set(args, params)
         grid = np.geomspace(gamma_set / 10.0, gamma_set * 10.0, 41)
     else:
-        gamma_set = setting_rate(params, n2_trunc=args.n2).value
         grid = _grid_in_g2(args, args.kappa1_grid)
+        if np.any(grid <= 0):   # refused before the sweep forks its workers
+            raise ConfigError(f"reflection needs kappa1 > 0, and --kappa1-grid "
+                              f"{args.kappa1_grid} holds {grid.min() * _conv(args):g}")
+        gamma_set = setting_rate(params, n2_trunc=args.n2).value
     r_num = reflection_sweep(params, grid, spec=HilbertSpec(2, args.n2_reflection),
                              decoherence=_decoherence(args), threads=args.threads)
     rows = [(k1, r, reflection_analytic(gamma_set, float(k1))) for k1, r in zip(grid, r_num)]
@@ -313,12 +316,13 @@ def run_detection(args) -> int:
 
 # system flags and their defaults.  An experiment that does not read a flag
 # (all but dark-counts set kappa1 themselves: Gamma_set, or the swept grid;
-# detection has no qutrit) registers it with default None, so that giving it,
-# as a flag or a config entry, is refused
+# dark-counts has no qutrit decoherence, detection no qutrit) registers it
+# with default None, so that giving it, as a flag or a config entry, is refused
 _SYSTEM_FLAGS = {"g1": 0.05, "omega": 2.0, "kappa1": 0.0, "kappa2": 1.0, "gamma": 0.0,
                  "gamma_phi": 0.0, "anharmonicity": None, "units": "g2", "g2_mhz": None}
 _UNREAD_FLAGS = {**dict.fromkeys(("setting-rate", "reflection", "gain", "pulse-response",
                                   "trajectories"), ("kappa1",)),
+                 "dark-counts": ("gamma", "gamma_phi"),
                  "detection": tuple(_SYSTEM_FLAGS)}
 
 # experiment options and what their values must satisfy, checked where taken

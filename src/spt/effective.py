@@ -25,8 +25,14 @@ class SingularEliminationError(RuntimeError):
 
 class UndefinedRateError(ValueError):
     """Raised for a rate that the model leaves undefined at the given
-    parameters: Gamma_set at omega = 0, or a result taken at kappa1 = Gamma_set
-    when Gamma_set = 0."""
+    parameters: Gamma_set at omega = 0, a result taken at kappa1 = Gamma_set
+    when Gamma_set = 0, or a closed form that divides by kappa2 at kappa2 = 0."""
+
+
+def _require_kappa2(params: SystemParams, form: str) -> None:
+    """UndefinedRateError when ``form``, which divides by kappa2, is taken at kappa2 = 0."""
+    if params.kappa2 == 0:
+        raise UndefinedRateError(f"{form} divides by kappa2, and kappa2 = 0")
 
 
 @dataclass
@@ -163,6 +169,7 @@ def setting_rate_analytic(params: SystemParams, order: int) -> RateResult:
         den = 4 * k2**2 * om**2 * (4 * g2**2 + k2**2) + 5 * k2**2 * om**4 + om**6
         value = num / den
     else:
+        _require_kappa2(params, "the order-3 closed form of Gamma_set")
         f = (
             36 * k2**2 * (8 * g2**4 + 6 * g2**2 * k2**2 + k2**4)
             + k2**2 * om**2 * (88 * g2**2 + 49 * k2**2)
@@ -207,6 +214,7 @@ class DarkSteadyRates:
 
 def dark_asymptotic_single(params: SystemParams) -> float:
     a = params.anharmonicity
+    _require_kappa2(params, "the asymptotic single dark-count rate")
     return params.g2**2 * params.omega**2 / (4 * a**2 * params.kappa2)
 
 
@@ -218,6 +226,7 @@ def dark_asymptotic_single_main(params: SystemParams) -> float:
 
 def dark_asymptotic_enhanced(params: SystemParams) -> float:
     a = params.anharmonicity
+    _require_kappa2(params, "the asymptotic enhanced dark-count rate")
     return params.g2**2 * params.omega**4 / (32 * a**4 * params.kappa2)
 
 

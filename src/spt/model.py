@@ -4,8 +4,8 @@ Conventions (all rates in units of g2 unless converted):
 
 * The model is the resonant one: each cavity is resonant with its qutrit
   transition and the drive with e<->f, so the rotating frame has no detunings.
-  This is the impedance-matched device of the paper, and every rate route
-  (``spt.effective``, ``spt.dressed``) builds the same model.
+  This is the impedance-matched device of the paper, and every route
+  (``spt.effective``, ``spt.dynamics``, ``spt.montecarlo``) builds this model.
 * The classical drive parameter ``omega`` produces an e<->f matrix element of
   omega/2, i.e. the drive term is (omega/2)(sigma_fe^- + sigma_fe^+).  This is
   the convention under which the dressed-manifold energies are
@@ -21,6 +21,7 @@ Conventions (all rates in units of g2 unless converted):
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -50,9 +51,7 @@ class SystemParams:
             raise ValueError("finite anharmonicity must be > 0")
 
     def replace(self, **kw) -> "SystemParams":
-        d = self.__dict__.copy()
-        d.update(kw)
-        return SystemParams(**d)
+        return dataclasses.replace(self, **kw)
 
 
 @dataclass
@@ -81,10 +80,19 @@ class CollapseSet:
         return [m for _, m in self.jumps]
 
     def get(self, label: str) -> np.ndarray:
-        for lab, m in self.jumps:
-            if lab == label:
-                return m
-        raise KeyError(label)
+        return dict(self.jumps)[label]
+
+
+def _couplings(a1, a2, s1, s2, g1: float, g2: float, drive: float) -> np.ndarray:
+    """g1 (a1^dag s1 + h.c.) + g2 (a2^dag s2 + h.c.) + drive (s2 + s2^dag): with
+    (s1, s2) = (sigma_eg^-, sigma_fe^-) the resonant couplings, swapped the
+    residual ones.  No two terms share an entry and none is diagonal, so adding
+    them to a diagonal matrix in any order gives the same bits."""
+    return (
+        g1 * (a1.conj().T @ s1 + s1.conj().T @ a1)
+        + g2 * (a2.conj().T @ s2 + s2.conj().T @ a2)
+        + drive * (s2 + s2.conj().T)
+    )
 
 
 def hamiltonian_ideal(params: SystemParams, space: HilbertSpace) -> np.ndarray:
@@ -95,16 +103,9 @@ def hamiltonian_ideal(params: SystemParams, space: HilbertSpace) -> np.ndarray:
     """
     if math.isfinite(params.anharmonicity):
         raise ValueError("finite anharmonicity: use hamiltonian_finite_A")
-    a1 = space.annihilation("cavity1")
-    a2 = space.annihilation("cavity2")
-    s_ge = space.qutrit_op("g", "e")   # sigma_eg^-
-    s_ef = space.qutrit_op("e", "f")   # sigma_fe^-
-
-    h = (
-        params.g1 * (a1.conj().T @ s_ge + s_ge.conj().T @ a1)
-        + params.g2 * (a2.conj().T @ s_ef + s_ef.conj().T @ a2)
-        + 0.5 * params.omega * (s_ef + s_ef.conj().T)
-    )
+    h = _couplings(space.annihilation("cavity1"), space.annihilation("cavity2"),
+                   space.qutrit_op("g", "e"), space.qutrit_op("e", "f"),
+                   params.g1, params.g2, 0.5 * params.omega)
     if not is_hermitian(h):
         raise ValueError("hamiltonian_ideal: H is not Hermitian")
     return h
@@ -120,25 +121,16 @@ def hamiltonian_finite_A(params: SystemParams, space: HilbertSpace) -> np.ndarra
     a_anh = params.anharmonicity
     if not math.isfinite(a_anh) or a_anh <= 0:
         raise ValueError("hamiltonian_finite_A requires finite anharmonicity > 0")
-    a1 = space.annihilation("cavity1")
-    a2 = space.annihilation("cavity2")
-    n1 = a1.conj().T @ a1
-    s_ee = space.qutrit_op("e", "e")
-    s_ff = space.qutrit_op("f", "f")
-    s_ge = space.qutrit_op("g", "e")   # sigma_eg^-
-    s_ef = space.qutrit_op("e", "f")   # sigma_fe^-
-
+    a1, a2 = space.annihilation("cavity1"), space.annihilation("cavity2")
+    s_ge, s_ef = space.qutrit_op("g", "e"), space.qutrit_op("e", "f")
     h = (
-        a_anh * s_ee
-        + a_anh * s_ff
-        + a_anh * n1
-        + params.g1 * (a1.conj().T @ s_ge + s_ge.conj().T @ a1)
-        + params.g2 * (a2.conj().T @ s_ef + s_ef.conj().T @ a2)
-        + 0.5 * params.omega * (s_ef + s_ef.conj().T)
+        a_anh * space.qutrit_op("e", "e")
+        + a_anh * space.qutrit_op("f", "f")
+        + a_anh * (a1.conj().T @ a1)
+        + _couplings(a1, a2, s_ge, s_ef, params.g1, params.g2, 0.5 * params.omega)
         # residual couplings opened by the finite anharmonicity
-        + SQRT2 * params.g1 * (a1.conj().T @ s_ef + s_ef.conj().T @ a1)
-        + (params.g2 / SQRT2) * (a2.conj().T @ s_ge + s_ge.conj().T @ a2)
-        + (0.5 * params.omega / SQRT2) * (s_ge + s_ge.conj().T)
+        + _couplings(a1, a2, s_ef, s_ge, SQRT2 * params.g1, params.g2 / SQRT2,
+                     0.5 * params.omega / SQRT2)
     )
     if not is_hermitian(h):
         raise ValueError("hamiltonian_finite_A: H is not Hermitian")

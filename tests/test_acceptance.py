@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from dressed_closed_forms import dressed_basis, restrict
 from spt.detection import DetectionParams, detection_performance, sample_observable
-from spt.dressed import dressed_basis
 from spt.dynamics import PulseSpec, gain_and_bandwidth, reflection_sweep, single_photon_response
 from spt.effective import (dark_asymptotic_enhanced, dark_rates_steady,
                            reflection_analytic, setting_rate, setting_rate_analytic)
@@ -405,10 +405,12 @@ def test_criterion_11_property_suite():
     norms = [prop.norm_sq(z0, t) for t in np.linspace(0, 30, 200)]
     assert np.all(np.diff(norms) < 1e-12)
 
-    # dressed-basis orthogonality and normalization
-    db = dressed_basis(1.0, 2.0)
-    assert abs(db.alpha**2 + db.beta**2 - 0.5) < 1e-12
-    assert np.max(np.abs(db.p_matrix.T @ db.p_matrix - np.eye(4))) < 1e-12
+    # dressed-basis orthogonality and normalization, and the closed-form P
+    # diagonalizing the model's excited block
+    energies, alpha, beta, p_matrix = dressed_basis(p.g2, p.omega)
+    assert abs(alpha**2 + beta**2 - 0.5) < 1e-12
+    assert np.max(np.abs(p_matrix.T @ p_matrix - np.eye(4))) < 1e-12
+    assert np.max(np.abs(p_matrix.T @ restrict(h, space) @ p_matrix - np.diag(energies))) < 1e-10
 
     # split jump reassembly
     split = collapse_set(p, None, space, split=True)
@@ -431,4 +433,5 @@ def test_criterion_11_property_suite():
     assert [t.jumps for t in t_serial] == [t.jumps for t in t_pool]
 
     report("11", True, "trace/positivity, norm monotonicity, dressed-basis "
-           "orthogonality, split reassembly, g1^2 scaling, seed determinism")
+           "orthogonality and diagonalization, split reassembly, g1^2 scaling, "
+           "seed determinism")

@@ -264,7 +264,8 @@ class TestExperiments:
         ["gain", "--kappa1", "0.5"], ["pulse-response", "--kappa1", "0"],
         ["trajectories", "--kappa1", "0.5"], ["detection", "--g1", "0.3"],
         ["detection", "--kappa2", "1"], ["detection", "--units", "g2"],
-        ["detection", "--anharmonicity", "inf"]])
+        ["detection", "--anharmonicity", "inf"], ["dark-counts", "--gamma", "0.01"],
+        ["dark-counts", "--gamma-phi", "0.01"]])
     def test_unread_system_flag_is_config_error(self, argv, capsys):
         assert main(argv) == 2
         assert f"{argv[0]} does not read {argv[1]}" in capsys.readouterr().err
@@ -304,6 +305,25 @@ class TestExperiments:
         out = tmp_path / "sr.csv"
         assert main(["setting-rate", "--kappa2-grid", "1:1:1", "--n2", "4", "-o", str(out)]) == 0
         assert "# kappa1=0.0" in out.read_text().splitlines()
+
+    def test_unread_decoherence_header_unchanged(self, tmp_path):
+        out = tmp_path / "dark.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # the no-jump rates warn at this t_end
+            assert main(["dark-counts", "--anharmonicity", "40", "--t-end", "10",
+                         "-o", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert "# gamma=0.0" in lines and "# gamma_phi=0.0" in lines
+
+    def test_nonpositive_kappa1_grid_refused_before_the_sweep(self, monkeypatch, capsys):
+        def sweep(*_args, **_kw):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(spt.cli, "reflection_sweep", sweep)
+        assert main(["reflection", "--kappa1-grid", "0:0:1", "--n2", "3",
+                     "--n2-reflection", "2", "--threads", "2"]) == 2
+        assert ("config error: reflection needs kappa1 > 0, and --kappa1-grid 0:0:1 holds 0"
+                in capsys.readouterr().err)
 
     def test_threads_only_where_honoured(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -429,6 +449,10 @@ class TestExperiments:
         (["gain", "--g1", "0", "--n2", "3"],
          "the gain is taken at kappa1 = Gamma_set, and Gamma_set = 0"),
         (["gain", "--gamma", "-1", "--n2", "3"], "gamma must be >= 0"),
+        (["setting-rate", "--kappa2-grid", "0:0:1", "--n2", "3"],
+         "the order-3 closed form of Gamma_set divides by kappa2, and kappa2 = 0"),
+        (["dark-counts", "--kappa2", "0", "--anharmonicity", "40", "--t-end", "10"],
+         "the asymptotic single dark-count rate divides by kappa2, and kappa2 = 0"),
     ])
     def test_bad_parameter_value_is_config_error(self, argv, message, capsys):
         # values that pass the flag checks and fail those of the parameter

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from spt.effective import (RateResult, SingularEliminationError, dark_asymptotic_enhanced,
-                           dark_asymptotic_single, dark_rates_steady, effective_jump,
-                           reflection_analytic, setting_rate, setting_rate_analytic)
-from spt.model import SystemParams
+from spt.effective import (RateResult, SingularEliminationError, UndefinedRateError,
+                           _excited_block_nh, dark_asymptotic_enhanced, dark_asymptotic_single,
+                           dark_rates_steady, effective_jump, reflection_analytic, setting_rate,
+                           setting_rate_analytic)
+from spt.hilbert import HilbertSpec, build_space
+from spt.model import SystemParams, collapse_set, hamiltonian_ideal, nonhermitian
 
 P_REF = SystemParams(g1=0.05, g2=1, omega=2, kappa1=0, kappa2=2)
 
@@ -72,6 +74,30 @@ class TestSettingRate:
     def test_warns_when_g1_not_perturbative(self):
         with pytest.warns(UserWarning):
             setting_rate(P_REF.replace(g1=0.5), 2)
+
+    def test_order3_closed_form_is_undefined_at_zero_kappa2(self):
+        p = P_REF.replace(kappa2=0.0)
+        assert [setting_rate_analytic(p, k).value for k in (1, 2)] == [0.0, 0.0]
+        with pytest.raises(UndefinedRateError, match="kappa2"):
+            setting_rate_analytic(p, 3)
+
+    @pytest.mark.parametrize("n2", [1, 2, 3, 10, 16])
+    @pytest.mark.parametrize("params", [P_REF, SystemParams(g1=0.1, g2=0.7, omega=1.3,
+                                                            kappa2=0.35)])
+    def test_excited_block_is_the_model_restricted(self, params, n2):
+        # the hand-built block equals the model's H_NH and kappa2 jump restricted
+        # to (e,0,0), (f,0,0), (e,0,1), ...; not bit for bit, since the model
+        # takes sqrt(kappa2) sqrt(n2) and the product C^dag C where the block
+        # writes sqrt(n2 kappa2) and n2 kappa2 / 2.  Gamma_set is computed from
+        # the block, so restricting the model instead would move its bits
+        space = build_space(HilbertSpec(0, n2))
+        cols = collapse_set(params, None, space)
+        idx = [space.index(level, 0, k) for k in range(n2 + 1) for level in "ef"]
+        h_model = nonhermitian(hamiltonian_ideal(params, space), cols)[np.ix_(idx, idx)]
+        c_model = cols.get("kappa2")[np.ix_(idx, idx)]
+        h, c, _ = _excited_block_nh(params, n2)
+        for block, model in ((h, h_model), (c, c_model)):
+            assert np.max(np.abs(block - model)) <= 1e-14 * np.max(np.abs(model))
 
 
 class TestEffectiveJump:
@@ -162,6 +188,12 @@ class TestDarkRates:
     def test_rejects_infinite_A(self):
         with pytest.raises(ValueError):
             dark_rates_steady(SystemParams())
+
+    def test_asymptotic_forms_are_undefined_at_zero_kappa2(self):
+        p = SystemParams(g2=1, omega=2, kappa2=0.0, anharmonicity=40)
+        for form in (dark_asymptotic_single, dark_asymptotic_enhanced):
+            with pytest.raises(UndefinedRateError, match="kappa2"):
+                form(p)
 
 
 class TestDynamicalDark:

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frozen_hamiltonians
+from dressed_closed_forms import dressed_basis, restrict
 from spt.hilbert import HilbertSpec, build_space, is_hermitian
 from spt.model import (CollapseSet, DecoherenceParams, SystemParams, collapse_set,
                        hamiltonian_finite_A, hamiltonian_ideal, nonhermitian)
-
-EXCITED_BLOCK = [("e", 0, 0), ("f", 0, 0), ("e", 0, 1), ("f", 0, 1)]
 
 
 @pytest.fixture
@@ -27,8 +26,7 @@ def test_excited_block_eigenvalues(space11):
     # golden-ratio spectrum of the driven 4-state chain at sqrt(g2^2+omega^2)=sqrt(5)
     p = SystemParams(g1=0.05, g2=1, omega=2, kappa2=1)
     h = hamiltonian_ideal(p, space11)
-    idx = [space11.index(*lab) for lab in EXCITED_BLOCK]
-    eigs = np.sort(np.linalg.eigvalsh(h[np.ix_(idx, idx)]))
+    eigs = np.sort(np.linalg.eigvalsh(restrict(h, space11)))
     assert np.allclose(eigs, [-1.618034, -0.618034, 0.618034, 1.618034], atol=1e-6)
 
 
@@ -219,18 +217,15 @@ def test_nonhermitian_structure(space11):
 
 def test_nonhermitian_dressed_diagonal(space11):
     # dressed-basis rotation of the 4-state excited block: Im diag = -kappa2/4
-    from spt.dressed import dressed_basis
-
     p = SystemParams(g1=0.0, g2=1, omega=2, kappa1=0, kappa2=0.08)
     h = hamiltonian_ideal(p, space11)
     cols = collapse_set(p, None, space11)
     h_nh = nonhermitian(h, cols)
-    idx = [space11.index(*lab) for lab in EXCITED_BLOCK]
-    block = h_nh[np.ix_(idx, idx)]
-    db = dressed_basis(1.0, 2.0)
-    rotated = db.p_matrix.T @ block @ db.p_matrix
+    block = restrict(h_nh, space11)
+    energies, _, _, p_matrix = dressed_basis(1.0, 2.0)
+    rotated = p_matrix.T @ block @ p_matrix
     assert np.allclose(np.diag(rotated).imag, -p.kappa2 / 4, atol=1e-12)
-    assert np.allclose(np.diag(rotated).real, db.energies, atol=1e-12)
+    assert np.allclose(np.diag(rotated).real, energies, atol=1e-12)
 
 
 def test_norm_decay_rate_matches_jump_rates(space11):
