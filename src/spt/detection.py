@@ -25,6 +25,9 @@ class DetectionParams:
     histogram: dict | None = None       # count -> frequency, for the empirical model
 
     def __post_init__(self):
+        for name in ("gain", "zeta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.gain < 0:
             raise ValueError("gain must be >= 0")
         if self.modes < 1:

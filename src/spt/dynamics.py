@@ -164,6 +164,9 @@ class PulseSpec:
     center_time: float = 0.0
 
     def __post_init__(self):
+        for name in ("sigma", "center_time"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma <= 0:
             raise ValueError("sigma must be > 0")
         # gaussian_pulse's prefactor and exponent factor, computed as it did per call
@@ -841,7 +844,6 @@ def single_photon_response(
 class GainResult:
     gain: float
     bandwidth: float             # impedance-matched kappa1 = Gamma_set
-    truncation: int
 
 
 def gain_and_bandwidth(
@@ -873,11 +875,8 @@ def gain_and_bandwidth(
     a2 = space.annihilation("cavity2")
     psi0 = space.basis_state("e", 0, 0)
     x = solver.resolvent(solver.steady_state() - np.outer(psi0, psi0.conj()))
-    return GainResult(
-        gain=params.kappa2 * _expectation(a2.conj().T @ a2, x),
-        bandwidth=gamma_set,
-        truncation=n2_trunc,
-    )
+    return GainResult(gain=params.kappa2 * _expectation(a2.conj().T @ a2, x),
+                      bandwidth=gamma_set)
 
 
 def gain_resolvent(

@@ -38,8 +38,6 @@ def _require_kappa2(params: SystemParams, form: str) -> None:
 @dataclass
 class RateResult:
     value: float
-    method: str
-    truncation: int
     convergence_delta: float = math.nan   # value minus the value at truncation - 1
 
     def __post_init__(self):
@@ -141,8 +139,7 @@ def setting_rate(params: SystemParams, n2_trunc: int = 10) -> RateResult:
 
     value = rate_at(n2_trunc)
     delta = value - rate_at(n2_trunc - 1) if n2_trunc >= 2 else math.nan
-    return RateResult(value=value, method="numeric_inversion", truncation=n2_trunc,
-                      convergence_delta=delta)
+    return RateResult(value=value, convergence_delta=delta)
 
 
 def setting_rate_analytic(params: SystemParams, order: int) -> RateResult:
@@ -181,7 +178,7 @@ def setting_rate_analytic(params: SystemParams, order: int) -> RateResult:
             - 96 * g2**4 * k2**2 * om**4 / f**2
             - (72 * g2**2 * k2**2 + 36 * k2**4 + 13 * k2**2 * om**2 + om**4) / f
         )
-    return RateResult(value=value, method=f"analytic_N{order}", truncation=order)
+    return RateResult(value=value)
 
 
 def reflection_analytic(gamma_set: float, kappa1: float) -> float:
@@ -271,13 +268,12 @@ def dark_rates_steady(params: SystemParams, extended_space: bool = False) -> Dar
     single = abs(jump_g[i_g00, 0]) ** 2
     enhanced = abs(jump_e[i_e00, 0]) ** 2 + abs(jump_e[i_f00, 0]) ** 2
 
-    trunc = space.dim - 1 if extended_space else len(DARK_STATE_LABELS) - 1
     return DarkSteadyRates(
-        single=RateResult(single, "numeric_inversion", trunc),
-        enhanced=RateResult(enhanced, "numeric_inversion", trunc),
-        single_asymptotic=RateResult(dark_asymptotic_single(params), "asymptotic", 0),
-        single_asymptotic_main=RateResult(dark_asymptotic_single_main(params), "asymptotic", 0),
-        enhanced_asymptotic=RateResult(dark_asymptotic_enhanced(params), "asymptotic", 0),
+        single=RateResult(single),
+        enhanced=RateResult(enhanced),
+        single_asymptotic=RateResult(dark_asymptotic_single(params)),
+        single_asymptotic_main=RateResult(dark_asymptotic_single_main(params)),
+        enhanced_asymptotic=RateResult(dark_asymptotic_enhanced(params)),
     )
 
 
@@ -302,7 +298,7 @@ def dynamical_dark_correction(params: SystemParams) -> DynamicalDarkResult:
     dyn = dark_asymptotic_enhanced(params)
     steady = dark_rates_steady(params).enhanced.value
     return DynamicalDarkResult(
-        dynamical=RateResult(dyn, "asymptotic", 0),
+        dynamical=RateResult(dyn),
         total_analytic=steady + dyn,
         eta_empirical=4.0,
     )

@@ -32,6 +32,16 @@ from .hilbert import HilbertSpace, is_hermitian
 SQRT2 = math.sqrt(2.0)
 
 
+def _require_finite_rates(params, names) -> None:
+    """ValueError naming the first of ``names`` that is not finite or is < 0."""
+    for name in names:
+        v = getattr(params, name)
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+        if v < 0:
+            raise ValueError(f"{name} must be >= 0, got {v}")
+
+
 @dataclass
 class SystemParams:
     """Couplings, decay rates and anharmonicity of the two-cavity qutrit system."""
@@ -44,10 +54,10 @@ class SystemParams:
     anharmonicity: float = math.inf
 
     def __post_init__(self):
-        for name in ("g1", "g2", "kappa1", "kappa2", "omega"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if math.isfinite(self.anharmonicity) and self.anharmonicity <= 0:
+        _require_finite_rates(self, ("g1", "g2", "kappa1", "kappa2", "omega"))
+        if math.isnan(self.anharmonicity):
+            raise ValueError("anharmonicity must not be nan")
+        if self.anharmonicity <= 0:
             raise ValueError("finite anharmonicity must be > 0")
 
     def replace(self, **kw) -> "SystemParams":
@@ -62,9 +72,7 @@ class DecoherenceParams:
     gamma_phi: float = 0.0
 
     def __post_init__(self):
-        for name, v in self.__dict__.items():
-            if v < 0:
-                raise ValueError(f"{name} must be >= 0, got {v}")
+        _require_finite_rates(self, ("gamma", "gamma_phi"))
 
 
 @dataclass

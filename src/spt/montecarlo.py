@@ -234,9 +234,7 @@ class PulsePath:
 @dataclass
 class Trajectory:
     jumps: list                      # [(time, channel_label)]
-    initial_state_label: str
     duration: float
-    seed: tuple
     final_norm_accounting: float     # total squared norm at the last event
     norm_evals: int = 0              # EigenPropagator.norm_sq calls
     newton_steps: int = 0            # Gram-matrix steps of the jump-time root search
@@ -337,14 +335,14 @@ def _channel(rates: np.ndarray, rng: np.random.Generator) -> int | None:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def _parse_init(init, space: HilbertSpace):
+def _parse_init(init, space: HilbertSpace) -> np.ndarray:
     if isinstance(init, np.ndarray):
-        return init.astype(complex), "custom"
+        return init.astype(complex)
     parts = init.replace("|", "").replace(">", "").split(",") if isinstance(init, str) else []
     if len(parts) != 3:
         raise ValueError(f"cannot interpret initial state {init!r}")
     m, n1, n2 = parts[0].strip(), int(parts[1]), int(parts[2])
-    return space.basis_state(m, n1, n2), f"|{m},{n1},{n2}>"
+    return space.basis_state(m, n1, n2)
 
 
 def run_trajectory(
@@ -370,12 +368,7 @@ def run_trajectory(
     collapses, space and pulse over [0, duration].  One is built when none is
     given.
     """
-    if isinstance(seed, tuple):
-        rng = trajectory_rng(*seed)
-        seed_rec = seed
-    else:
-        rng = trajectory_rng(seed, 0)
-        seed_rec = (int(seed), 0)
+    rng = trajectory_rng(*seed) if isinstance(seed, tuple) else trajectory_rng(seed, 0)
 
     labels = collapses.labels()
     mats = collapses.matrices()
@@ -389,12 +382,11 @@ def run_trajectory(
         elif (pulse_path.t_start, pulse_path.t_end) != (t, t_end):
             raise ValueError("pulse_path spans another time interval")
         psi = np.zeros(space.dim, dtype=complex)
-        init_label = "single-photon-input"
         k1_idx = labels.index("kappa1")
         q = 1.0
     else:
-        psi, init_label = _parse_init(init, space) if space is not None else (
-            np.asarray(init, dtype=complex), "custom")
+        psi = (_parse_init(init, space) if space is not None
+               else np.asarray(init, dtype=complex))
         q = 0.0
 
     prop = propagator
@@ -468,9 +460,7 @@ def run_trajectory(
 
     return Trajectory(
         jumps=jumps,
-        initial_state_label=init_label,
         duration=duration,
-        seed=seed_rec,
         final_norm_accounting=total_norm_sq(psi, q, t),
         **stats,
     )
@@ -624,7 +614,6 @@ class DarkRateEstimate:
     n_events_enhanced: int
     total_time: float
     excited_dwell_time: float
-    single_rate_dwell_excised: float
     single_is_upper_bound: bool = False
     enhanced_is_upper_bound: bool = False
 
@@ -693,14 +682,12 @@ def dark_count_trajectories(
         return n_events / time_, math.sqrt(n_events) / time_, False
 
     s_rate, s_err, s_ub = rate_err(singles, total_time)
-    s_rate_x = singles / exposure if exposure > 0 else math.nan
     e_rate, e_err, e_ub = rate_err(bursts, exposure if exposure > 0 else total_time)
     return DarkRateEstimate(
         single_rate=s_rate, single_error=s_err,
         enhanced_rate=e_rate, enhanced_error=e_err,
         n_events_single=singles, n_events_enhanced=bursts,
         total_time=total_time, excited_dwell_time=dwell,
-        single_rate_dwell_excised=s_rate_x,
         single_is_upper_bound=s_ub, enhanced_is_upper_bound=e_ub,
     )
 
@@ -738,7 +725,6 @@ class NoJumpRates:
     steady: float            # late-time normalized kappa2_E rate (enhanced)
     dynamical: float         # window-integrated kappa2_E rate (post-dark-count)
     steady_single: float     # late-time normalized kappa2_G rate
-    window: float
     converged: bool
 
 
@@ -795,7 +781,7 @@ def no_jump_rates(
     dynamical = float(np.trapezoid(num, tg) / np.trapezoid(den, tg))
 
     return NoJumpRates(steady=steady_e, dynamical=dynamical,
-                       steady_single=steady_g, window=window, converged=converged)
+                       steady_single=steady_g, converged=converged)
 
 
 # ---------------------------------------------------------------------------

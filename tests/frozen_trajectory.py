@@ -95,12 +95,11 @@ def run_trajectory(h_nh, collapses, init, duration, seed, pulse=None, space=None
         if pulse_path is None:
             pulse_path = mc.PulsePath(h_nh, collapses, space, pulse, t, t_end)
         psi = np.zeros(space.dim, dtype=complex)
-        init_label = "single-photon-input"
         k1_idx = labels.index("kappa1")
         q = 1.0
     else:
-        psi, init_label = mc._parse_init(init, space) if space is not None else (
-            np.asarray(init, dtype=complex), "custom")
+        psi = (mc._parse_init(init, space) if space is not None
+               else np.asarray(init, dtype=complex))
         q = 0.0
 
     prop = propagator if propagator is not None else mc.EigenPropagator(h_nh)
@@ -161,6 +160,5 @@ def run_trajectory(h_nh, collapses, init, duration, seed, pulse=None, space=None
             break
         psi, q, t = new, 0.0, t_jump
 
-    return mc.Trajectory(jumps=jumps, initial_state_label=init_label, duration=duration,
-                         seed=tuple(seed), final_norm_accounting=total_norm_sq(psi, q, t),
-                         **stats)
+    return mc.Trajectory(jumps=jumps, duration=duration,
+                         final_norm_accounting=total_norm_sq(psi, q, t), **stats)

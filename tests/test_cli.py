@@ -453,6 +453,20 @@ class TestExperiments:
          "the order-3 closed form of Gamma_set divides by kappa2, and kappa2 = 0"),
         (["dark-counts", "--kappa2", "0", "--anharmonicity", "40", "--t-end", "10"],
          "the asymptotic single dark-count rate divides by kappa2, and kappa2 = 0"),
+        # non-finite values: nan passes a ">= 0" check, so each is refused by name
+        (["reflection", "--gamma", "nan", "--n2", "3", "--n2-reflection", "2",
+          "--kappa1-grid", "0.01:0.01:1", "--threads", "1"], "gamma must be finite, got nan"),
+        (["gain", "--gamma-phi", "nan", "--n2", "3"], "gamma_phi must be finite, got nan"),
+        (["setting-rate", "--g1", "nan", "--kappa2-grid", "1:1:1", "--n2", "3"],
+         "g1 must be finite, got nan"),
+        (["gain", "--g1", "nan", "--n2", "3"], "g1 must be finite, got nan"),
+        (["gain", "--kappa2", "inf", "--n2", "3"], "kappa2 must be finite, got inf"),
+        (["detection", "--gain-photons", "nan"], "gain must be finite, got nan"),
+        (["detection", "--gain-photons", "inf"], "gain must be finite, got inf"),
+        (["detection", "--zeta", "nan"], "zeta must be finite, got nan"),
+        (["gain", "--units", "mhz", "--g2-mhz", "nan", "--n2", "3"],
+         "--units mhz requires --g2-mhz, finite and > 0, got nan"),
+        (["gain", "--anharmonicity", "nan", "--n2", "3"], "anharmonicity must not be nan"),
     ])
     def test_bad_parameter_value_is_config_error(self, argv, message, capsys):
         # values that pass the flag checks and fail those of the parameter

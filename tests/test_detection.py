@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,12 @@ class TestPerformance:
             DetectionParams(gain=1, modes=9, zeta=2, signal_model="empirical_histogram")
         with pytest.raises(ValueError):
             DetectionPerformance(efficiency=1.2, dark_probability=0.0)
+
+    @pytest.mark.parametrize("name", ["gain", "zeta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_value_is_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+            DetectionParams(**{"gain": 1.0, "modes": 9, "zeta": 2.0, name: value})
 
 
 def test_roc_rows():

@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 import subprocess
@@ -37,6 +38,12 @@ class TestPulse:
     def test_peak_intensity(self):
         spec = PulseSpec(sigma=0.5)
         assert gaussian_pulse(spec, 0.0) ** 2 == pytest.approx(0.398942, abs=1e-6)
+
+    @pytest.mark.parametrize("name", ["sigma", "center_time"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+            PulseSpec(**{"sigma": 0.5, name: value})
 
     def test_tau_relation(self):
         spec = PulseSpec.from_tau(tau=1.0)

@@ -59,7 +59,7 @@ class TestSettingRate:
 
     def test_convergence_delta_is_a_field(self):
         assert "convergence_delta" in {f.name for f in dataclasses.fields(RateResult)}
-        assert math.isnan(RateResult(value=1.0, method="direct", truncation=3).convergence_delta)
+        assert math.isnan(RateResult(value=1.0).convergence_delta)
         assert math.isnan(setting_rate_analytic(P_REF, 2).convergence_delta)
         assert math.isnan(setting_rate(P_REF, 1).convergence_delta)
 

@@ -61,6 +61,25 @@ def test_finite_A_rejects_nonpositive():
         hamiltonian_finite_A(p, space)   # infinite A
 
 
+@pytest.mark.parametrize("cls, name", [
+    *[(SystemParams, name) for name in ("g1", "g2", "omega", "kappa1", "kappa2")],
+    *[(DecoherenceParams, name) for name in ("gamma", "gamma_phi")],
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_rate_is_refused(cls, name, value):
+    # nan < 0 is False, so a ">= 0" check alone lets nan through
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+        cls(**{name: value})
+
+
+def test_anharmonicity_may_be_inf_but_not_nan_or_minus_inf():
+    assert SystemParams(anharmonicity=math.inf).anharmonicity == math.inf
+    with pytest.raises(ValueError, match="anharmonicity must not be nan"):
+        SystemParams(anharmonicity=math.nan)
+    with pytest.raises(ValueError, match="finite anharmonicity must be > 0"):
+        SystemParams(anharmonicity=-math.inf)
+
+
 def test_finite_A_residual_elements(space11):
     # residual lower-transition drive element omega/(2 sqrt(2)); this is the
     # V_dark excitation element and the convention behind the dark-rate forms

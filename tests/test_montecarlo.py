@@ -251,8 +251,7 @@ class TestJumpTimeSearch:
             assert sum(t.search_fallbacks for t in fast) == 0
 
     def test_trajectory_built_without_diagnostics(self):
-        tr = mc.Trajectory(jumps=[], initial_state_label="custom", duration=1.0, seed=(0, 0),
-                           final_norm_accounting=1.0)
+        tr = mc.Trajectory(jumps=[], duration=1.0, final_norm_accounting=1.0)
         assert (tr.norm_evals, tr.newton_steps, tr.search_fallbacks) == (0, 0, 0)
 
 
@@ -502,7 +501,7 @@ class TestIllConditionedFallback:
         space, cols, h_nh, psi, duration, _, _ = _FALLBACK_CASES["custom"]()
         with pytest.warns(UserWarning, match="ill-conditioned eigendecomposition"):
             tr = run_trajectory(h_nh, cols, psi, duration, (5, 0))
-        assert tr.initial_state_label == "custom" and tr.jumps
+        assert tr.jumps
 
 
 class TestEnsembleSetUp:
@@ -686,7 +685,21 @@ class TestDarkCounts:
         est = dark_count_trajectories(p, 5, 200.0, 3, threads=1)
         assert est.n_events_single == 0 and est.n_events_enhanced == 0
         assert est.single_is_upper_bound and est.enhanced_is_upper_bound
-        assert est.single_rate == pytest.approx(1.0 / est.total_time)
+        # with no events, the 1/T bound is both the rate and its error
+        assert est.excited_dwell_time == 0.0
+        assert est.single_rate == est.single_error == 1.0 / est.total_time
+        assert est.enhanced_rate == est.enhanced_error == 1.0 / est.total_time
+
+    def test_error_bars_are_poisson_on_each_exposure(self):
+        # sqrt(N) / T: singles over all sampled time, bursts over the time outside them
+        p = SystemParams(g1=0.2, g2=1, omega=2, kappa2=0.1, anharmonicity=10)
+        est = dark_count_trajectories(p, 10, 5000.0, 1, threads=1)
+        assert est.n_events_single > 0 and est.n_events_enhanced > 0
+        assert 0 < est.excited_dwell_time < est.total_time
+        assert est.single_error == math.sqrt(est.n_events_single) / est.total_time
+        assert est.enhanced_error == (math.sqrt(est.n_events_enhanced)
+                                      / (est.total_time - est.excited_dwell_time))
+        assert not (est.single_is_upper_bound or est.enhanced_is_upper_bound)
 
     def test_requires_finite_A(self):
         with pytest.raises(ValueError):
