@@ -303,7 +303,9 @@ def run_detection(args) -> int:
         if args.sample:
             obs = sample_observable(args.modes, 0.0, n_samples=args.sample, seed=args.seed)
             payload["vacuum_sample_mean"] = float(obs.mean())
-            payload["vacuum_sample_variance"] = float(obs.var(ddof=1))
+            # undefined for one sample, as counts_to_statistics has it
+            payload["vacuum_sample_variance"] = (float(obs.var(ddof=1)) if args.sample > 1
+                                                 else None)
         write_json(args.output, payload)
     return 0
 

@@ -435,28 +435,21 @@ def steady_state_reflection(
 
     The drive enters as H_d = eps (a1^dag + a1); with the input-output
     convention a_out = -a_in + sqrt(kappa1) a1 the matching input amplitude is
-    a_in = -i eps / sqrt(kappa1), so an empty cavity reflects unity.  The drive
-    starts at eps = 0.01 kappa1, well inside the linear-response regime so the
-    n1 truncation error stays negligible, and is halved until the steady
-    cavity-1 occupation is below 1e-2.
+    a_in = -i eps / sqrt(kappa1), so an empty cavity reflects unity.  One
+    solve at eps = 0.01 kappa1 is inside the linear-response regime, where
+    the n1 truncation error stays negligible.  No coupling, jump or dephasing
+    term raises n1 + P(qutrit not in g), so in the steady state the drive
+    replaces what kappa1 removes: kappa1 n1 <= 2 eps |<a1>| <= 2 eps sqrt(n1),
+    hence n1 <= 4 (eps / kappa1)^2 = 4e-4 at every kappa1 and decoherence.
     """
     if params.kappa1 <= 0:
         raise ValueError("steady_state_reflection requires kappa1 > 0")
     space = build_space(spec)
-    h0 = hamiltonian_ideal(params, space)
-    cols = collapse_set(params, decoherence, space)
     a1 = space.annihilation("cavity1")
-    n1 = a1.conj().T @ a1
-
     amp = 0.01 * params.kappa1
-    for _ in range(40):
-        lv = liouvillian(h0 + amp * (a1 + a1.conj().T), cols)
-        rho = steady_state(lv, space.dim)
-        if np.real(np.trace(n1 @ rho)) < 1e-2:
-            break
-        amp *= 0.5
-    else:
-        raise SteadyStateError("could not reach the weak-drive regime")
+    lv = liouvillian(hamiltonian_ideal(params, space) + amp * (a1 + a1.conj().T),
+                     collapse_set(params, decoherence, space))
+    rho = steady_state(lv, space.dim)
 
     a_in = -1j * amp / np.sqrt(params.kappa1)
     a_out = -a_in + np.sqrt(params.kappa1) * np.trace(a1 @ rho)
@@ -651,7 +644,6 @@ def single_photon_response(
     spec: HilbertSpec = HilbertSpec(1, 10),
     decoherence: DecoherenceParams | None = None,
     tol: float = 1e-8,
-    tail: bool = True,
 ) -> SinglePhotonResult:
     """Propagate the single-photon-input matrix-element system.
 
@@ -808,10 +800,7 @@ def single_photon_response(
         i_out1 = np.clip(i_out1, 0.0, None)
 
         gain_grid = float(np.trapezoid(i_out2, t_grid))
-        if tail:
-            gain_tail = params.kappa2 * integrated_observable(lv, final_rho, rho00, n2op)
-        else:
-            gain_tail = 0.0
+        gain_tail = params.kappa2 * integrated_observable(lv, final_rho, rho00, n2op)
         absorbed, absorption_evals = collect_absorption()
 
     series = TimeSeries(

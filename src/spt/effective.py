@@ -227,12 +227,11 @@ def dark_asymptotic_enhanced(params: SystemParams) -> float:
     return params.g2**2 * params.omega**4 / (32 * a**4 * params.kappa2)
 
 
-def dark_rates_steady(params: SystemParams, extended_space: bool = False) -> DarkSteadyRates:
+def dark_rates_steady(params: SystemParams) -> DarkSteadyRates:
     """Steady-state single and enhanced dark-count rates by 7-state inversion.
 
     The eliminated subspace is the fixed 7-state list minus |g,0,0>;
-    extended_space=True enlarges it to the full (N1=1, N2=1) truncation minus
-    |g,0,0> to test convergence.  V_dark+ = (omega / 2 sqrt(2)) |e,0,0><g,0,0|.
+    V_dark+ = (omega / 2 sqrt(2)) |e,0,0><g,0,0|.
     """
     a = params.anharmonicity
     if not math.isfinite(a) or a <= 0:
@@ -243,12 +242,7 @@ def dark_rates_steady(params: SystemParams, extended_space: bool = False) -> Dar
     cols = collapse_set(params.replace(kappa1=0.0), None, space, split=True)
     h_nh_full = nonhermitian(h, cols)
 
-    if extended_space:
-        kept = [space.labels(i) for i in range(space.dim)]
-    else:
-        kept = list(DARK_STATE_LABELS)
-    ground = ("g", 0, 0)
-    elim = [lab for lab in kept if lab != ground]
+    elim = [lab for lab in DARK_STATE_LABELS if lab != ("g", 0, 0)]
     elim_idx = np.array([space.index(*lab) for lab in elim])
 
     h_e = h_nh_full[np.ix_(elim_idx, elim_idx)]

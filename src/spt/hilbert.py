@@ -123,5 +123,5 @@ def build_space(spec: HilbertSpec) -> HilbertSpace:
     return HilbertSpace(spec)
 
 
-def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
-    return np.max(np.abs(m - m.conj().T)) < tol
+def is_hermitian(m: np.ndarray) -> bool:
+    return np.max(np.abs(m - m.conj().T)) < 1e-12

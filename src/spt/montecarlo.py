@@ -622,6 +622,9 @@ class DarkRateEstimate:
         return self.excited_dwell_time / self.total_time if self.total_time else math.nan
 
 
+_DARK_SPEC = HilbertSpec(1, 2)   # the truncation of both dark-count routes
+
+
 def _dark_model(params: SystemParams, spec: HilbertSpec):
     """(space, collapses, H_NH) of the finite-anharmonicity model with split
     cavity-2 jumps; kappa1 is the impedance-matched setting rate when unset."""
@@ -641,7 +644,6 @@ def dark_count_trajectories(
     n_traj: int,
     duration: float,
     base_seed: int,
-    spec: HilbertSpec = HilbertSpec(1, 2),
     threads: int | None = None,
 ) -> DarkRateEstimate:
     """Trajectory estimate of the single and enhanced dark-count rates.
@@ -656,7 +658,7 @@ def dark_count_trajectories(
     kappa1 defaults to the impedance-matched setting rate when unset, so the
     trajectory shows the recovery jumps of the duty cycle.
     """
-    space, cols, h_nh = _dark_model(params, spec)
+    space, cols, h_nh = _dark_model(params, _DARK_SPEC)
     # the basis lists every |g, n1, n2> first; sums run in index order
     tallies = _map_ensemble(functools.partial(_dark_one, n_ground=space.index("e", 0, 0)),
                             h_nh, cols, "g,0,0", duration, n_traj, base_seed, None, space,
@@ -731,7 +733,6 @@ class NoJumpRates:
 def no_jump_rates(
     params: SystemParams,
     t_end: float = 2000.0,
-    spec: HilbertSpec = HilbertSpec(1, 2),
 ) -> NoJumpRates:
     """Dark-count rates from pure non-Hermitian (no-jump) evolution of |g,0,0>.
 
@@ -741,7 +742,7 @@ def no_jump_rates(
     enhanced rate is the time-integrated ratio over the initial oscillation
     window of 10 periods of 2 pi / sqrt(g2^2 + omega^2), on 4000 points.
     """
-    space, cols, h_nh = _dark_model(params, spec)
+    space, cols, h_nh = _dark_model(params, _DARK_SPEC)
     c_g = cols.get("kappa2_G")
     c_e = cols.get("kappa2_E")
 

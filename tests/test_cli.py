@@ -511,6 +511,13 @@ class TestExperiments:
         payload = json.loads(out.read_text(), parse_constant=refuse)
         assert {key for key, val in payload.items() if val is None} == undefined
 
+    def test_one_sample_variance_is_null_without_warnings(self, tmp_path):
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["detection", "--sample", "1", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["vacuum_sample_variance"] is None
+
     @pytest.mark.parametrize("flag", ["-o", "--jump-log"])
     def test_unwritable_path_is_config_error(self, tmp_path, capsys, monkeypatch, flag):
         # both paths are checked before the ensemble runs, and neither is left

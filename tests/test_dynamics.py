@@ -206,6 +206,27 @@ class TestSteadyStateReflection:
         with pytest.raises(ValueError):
             steady_state_reflection(SystemParams(kappa1=0.0))
 
+    @pytest.mark.parametrize("decoherence", [None, DecoherenceParams(0.01, 0.005)])
+    def test_one_solve_is_in_the_weak_drive_regime(self, monkeypatch, decoherence):
+        # no term of the model raises n1 + P(qutrit not in g), so the drive
+        # eps = 0.01 kappa1 replaces what kappa1 removes: kappa1 n1 <= 2 eps sqrt(n1)
+        states = []
+        solve = spt.dynamics.steady_state
+
+        def kept(lv, dim):
+            states.append(solve(lv, dim))
+            return states[-1]
+
+        monkeypatch.setattr(spt.dynamics, "steady_state", kept)
+        spec = HilbertSpec(2, 4)
+        n1 = build_space(spec).number("cavity1")
+        p = SystemParams(g1=0.05, g2=1, omega=2, kappa2=1)
+        for kappa1 in (1e-4, 3e-3, 0.03, 0.3, 3.0, 30.0):
+            steady_state_reflection(p.replace(kappa1=kappa1), spec=spec, decoherence=decoherence)
+            eps = 0.01 * kappa1
+            assert np.real(np.trace(n1 @ states[-1])) <= 4 * (eps / kappa1) ** 2 * (1 + 1e-9)
+        assert len(states) == 6                        # one solve a point
+
 
 class TestForkMap:
     def test_index_order_over_a_pool(self):
@@ -376,7 +397,10 @@ class TestSinglePhoton:
         p = SystemParams(g1=0.0, g2=1, omega=0, kappa1=0.5, kappa2=0.0)
         pulse = PulseSpec.from_tau(tau=12.0, center_time=60.0)
         grid = np.linspace(0, 160, 801)
-        res = single_photon_response(p, pulse, grid, spec=HilbertSpec(1, 0), tail=False)
+        # qutrit decay keeps |g,0,0> dark and makes the steady state unique
+        # for the gain tail; at g1 = 0 the qutrit is never excited
+        res = single_photon_response(p, pulse, grid, spec=HilbertSpec(1, 0),
+                                     decoherence=DecoherenceParams(gamma=1e-3))
         sol = solve_ivp(
             lambda t, c: -0.25 * c + np.sqrt(0.5) * float(gaussian_pulse(pulse, t)),
             (0, 160), [0.0], t_eval=grid, rtol=1e-10, atol=1e-12)
@@ -387,7 +411,8 @@ class TestSinglePhoton:
         p = SystemParams(g1=0.0, g2=1, omega=2, kappa1=0.4, kappa2=1.0)
         pulse = PulseSpec.from_tau(tau=15.0, center_time=70.0)
         grid = np.linspace(0, 180, 601)
-        res = single_photon_response(p, pulse, grid, spec=HilbertSpec(1, 1), tail=False)
+        res = single_photon_response(p, pulse, grid, spec=HilbertSpec(1, 1),
+                                     decoherence=DecoherenceParams(gamma=1e-3))
         assert np.max(res.series.channels["I_out2"]) == pytest.approx(0.0, abs=1e-12)
         assert res.absorbed_fraction == pytest.approx(0.0, abs=1e-3)
 
@@ -461,8 +486,7 @@ class TestSinglePhoton:
         p = SystemParams(g1=0.05, g2=1, omega=2, kappa1=0.01, kappa2=1)
         pulse = PulseSpec.from_tau(tau=10.0, center_time=40.0)
         with pytest.warns(UserWarning, match="pulse shorter"):
-            single_photon_response(p, pulse, np.linspace(0, 80, 101),
-                                   spec=HilbertSpec(1, 1), tail=False)
+            single_photon_response(p, pulse, np.linspace(0, 80, 101), spec=HilbertSpec(1, 1))
 
 
 def _full_block_rhs(lv, space, kappa1, pulse, _support=None):

@@ -9,7 +9,8 @@ from spt.effective import (RateResult, SingularEliminationError, UndefinedRateEr
                            dark_rates_steady, effective_jump, reflection_analytic, setting_rate,
                            setting_rate_analytic)
 from spt.hilbert import HilbertSpec, build_space
-from spt.model import SystemParams, collapse_set, hamiltonian_ideal, nonhermitian
+from spt.model import (SystemParams, collapse_set, hamiltonian_finite_A, hamiltonian_ideal,
+                       nonhermitian, residual_drive_element)
 
 P_REF = SystemParams(g1=0.05, g2=1, omega=2, kappa1=0, kappa2=2)
 
@@ -146,11 +147,22 @@ class TestDarkRates:
         assert r.enhanced.value == pytest.approx(6.911824e-7, rel=1e-6)
 
     def test_extended_space_agrees(self):
+        # reference: the same elimination over the whole (1,1) truncation minus |g,0,0>
         p = SystemParams(g1=0.2, g2=1, omega=2, kappa2=0.1, anharmonicity=60)
+        space = build_space(HilbertSpec(1, 1))
+        cols = collapse_set(p, None, space, split=True)
+        h_nh = nonhermitian(hamiltonian_finite_A(p, space), cols)
+        i_g00, i_e00, i_f00 = (space.index(m, 0, 0) for m in "gef")
+        elim = [i for i in range(space.dim) if i != i_g00]
+        v = np.zeros((len(elim), 1), dtype=complex)
+        v[elim.index(i_e00), 0] = residual_drive_element(p)
+        h_e = h_nh[np.ix_(elim, elim)]
+        jump_g = effective_jump(cols.get("kappa2_G")[:, elim], h_e, v)
+        jump_e = effective_jump(cols.get("kappa2_E")[:, elim], h_e, v)
         r7 = dark_rates_steady(p)
-        r12 = dark_rates_steady(p, extended_space=True)
-        assert r12.single.value == pytest.approx(r7.single.value, rel=1e-3)
-        assert r12.enhanced.value == pytest.approx(r7.enhanced.value, rel=1e-3)
+        assert abs(jump_g[i_g00, 0]) ** 2 == pytest.approx(r7.single.value, rel=1e-3)
+        assert (abs(jump_e[i_e00, 0]) ** 2 + abs(jump_e[i_f00, 0]) ** 2
+                == pytest.approx(r7.enhanced.value, rel=1e-3))
 
     def test_inversion_approaches_asymptotic_at_large_A(self):
         p = SystemParams(g1=0.2, g2=1, omega=2, kappa2=0.1, anharmonicity=100)

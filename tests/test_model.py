@@ -217,7 +217,7 @@ def test_jump_psd(space11):
     cols = collapse_set(p, DecoherenceParams(0.1, 0.05), space11)
     for _, c in cols.jumps:
         cdc = c.conj().T @ c
-        assert is_hermitian(cdc, tol=1e-10)
+        assert is_hermitian(cdc)
         assert np.linalg.eigvalsh(cdc).min() > -1e-12
 
 
