@@ -899,11 +899,13 @@ def _lil_trace_fixed(lv, dim):
 
 
 class _LilTraceFixedSolver(spt.dynamics.TraceFixedSolver):
-    """Oracle: ``TraceFixedSolver``'s solves on the LU of ``_lil_trace_fixed``."""
+    """Oracle: ``TraceFixedSolver``'s solves on the LU of ``_lil_trace_fixed``,
+    on every entry and without the condition check."""
 
     def __init__(self, lv, dim):
         self._lu = spla.splu(_lil_trace_fixed(lv, dim))
         self.lv, self.dim = lv, dim
+        self._keep, self._scale = slice(None), 0.0
 
 
 class TestTraceFixedSolver:
@@ -967,6 +969,104 @@ class TestTraceFixedSolver:
         # at dim 3 the CSR route would build a trace row on 3 of 16 columns
         with pytest.raises(ValueError, match="Liouvillian is"):
             spt.dynamics.TraceFixedSolver(sparse.identity(16, dtype=complex, format="csr"), dim)
+
+    @pytest.mark.parametrize("dec, unique", [(None, False), (DecoherenceParams(gamma=1e-3), True)])
+    def test_resolvent_refuses_a_non_unique_steady_state(self, dec, unique):
+        # g1 = 0: without qutrit decay nothing returns e or f to g, and L has
+        # two zero singular values, yet SuperLU factors the trace-fixed matrix
+        # (||A^-1 1|| max|A_ij| = 5.8e17); gamma = 1e-3 makes it unique (2.3e4)
+        p = SystemParams(g1=0.0, g2=1, omega=2, kappa1=0.4, kappa2=1.0)
+        space = build_space(HilbertSpec(1, 1))
+        lv = liouvillian(hamiltonian_ideal(p, space), collapse_set(p, dec, space))
+        solver = spt.dynamics.TraceFixedSolver(lv, space.dim)
+        rhs = lv @ (np.random.default_rng(3).normal(size=(space.dim ** 2, 2)) @ [1.0, 1j])
+        if unique:
+            assert np.linalg.norm(lv @ solver.resolvent(rhs) - rhs) < 1e-10
+        else:
+            with pytest.raises(SteadyStateError, match="not unique"):
+                solver.resolvent(rhs)
+        # a cavity-1 photon never meets the qutrit: on the entries it reaches
+        # the steady state is unique, and its mean count kappa1 int n1 is 1
+        psi = space.basis_state("g", 1, 0)
+        n1 = space.annihilation("cavity1").conj().T @ space.annihilation("cavity1")
+        assert p.kappa1 * spt.dynamics.integrated_observable(
+            lv, np.outer(psi, psi), solver.steady_state(), n1) == pytest.approx(1.0, rel=1e-12)
+
+
+class TestKeptSupport:
+    """integrated_observable factors L only on the entries that rho0, rho_inf
+    and entry 0 reach; gain_and_bandwidth keeps the full matrix."""
+
+    p0 = SystemParams(g1=0.15, g2=1, omega=2, kappa2=1)
+
+    def factored_sizes(self, monkeypatch, call):
+        sizes, splu = [], spla.splu
+        monkeypatch.setattr(spla, "splu", lambda a: sizes.append(a.shape[0]) or splu(a))
+        call()
+        monkeypatch.undo()
+        return sizes
+
+    @pytest.mark.parametrize("spec, dec", [(HilbertSpec(1, 10), None), (HilbertSpec(1, 10), _DEC),
+                                           (HilbertSpec(2, 6), None), (HilbertSpec(2, 16), None)])
+    def test_agrees_with_full_matrix_solve(self, spec, dec, monkeypatch):
+        p = self.p0.replace(kappa1=setting_rate(self.p0, 10).value)
+        space = build_space(spec)
+        lv = liouvillian(hamiltonian_ideal(p, space), collapse_set(p, dec, space))
+        n2op = space.annihilation("cavity2").conj().T @ space.annihilation("cavity2")
+        full = spt.dynamics.TraceFixedSolver(lv, space.dim)
+        rho_inf = full.steady_state()
+        psi0 = space.basis_state("e", 0, 0)
+        rho0 = np.outer(psi0, psi0.conj())
+        ref = spt.dynamics._expectation(n2op, full.resolvent(rho_inf - rho0))
+        got = []
+        sizes = self.factored_sizes(monkeypatch, lambda: got.append(
+            spt.dynamics.integrated_observable(lv, rho0, rho_inf, n2op)))
+        assert got[0] == pytest.approx(ref, rel=1e-12) and ref > 1.0
+        assert len(sizes) == 1 and sizes[0] < space.dim ** 2
+
+    def test_pulse_tail_on_its_support_and_gain_on_the_full_matrix(self, monkeypatch):
+        p = self.p0.replace(kappa1=setting_rate(self.p0, 10).value)
+        pulse = PulseSpec.from_tau(tau=6.0 / p.kappa1, center_time=4.5 * 6.0 / p.kappa1)
+        grid = np.linspace(0.0, 9.0 * pulse.tau, 50)
+        assert self.factored_sizes(monkeypatch, lambda: single_photon_response(
+            p, pulse, grid, spec=HilbertSpec(1, 10), tol=1e-6)) == [1210]
+        assert self.factored_sizes(monkeypatch, lambda: gain_and_bandwidth(self.p0)) == [4356]
+
+    def test_rhs_off_keep_is_refused(self):
+        space = build_space(HilbertSpec(1, 2))
+        lv = liouvillian(hamiltonian_ideal(TestTraceFixedSolver.p, space),
+                         collapse_set(TestTraceFixedSolver.p, None, space))
+        seeds = np.zeros(space.dim ** 2, dtype=bool)
+        seeds[0] = seeds[space.index("e", 0, 0) * (space.dim + 1)] = True
+        keep = spt.dynamics._support(lv, seeds)
+        solver = spt.dynamics.TraceFixedSolver(lv, space.dim, keep)
+        off = np.setdiff1d(np.arange(space.dim ** 2), keep)
+        assert len(off) and np.all(solver.steady_state().reshape(-1)[off] == 0)
+        w = np.zeros(space.dim ** 2, dtype=complex)
+        w[off[0]] = 1.0
+        rhs = lv @ w
+        assert np.any(rhs[off])
+        with pytest.raises(SteadyStateError, match="resolvent residual"):
+            solver.resolvent(rhs)
+
+    @pytest.mark.parametrize("fmt", ["csc", "coo", "lil"])
+    def test_any_sparse_format(self, fmt):
+        # TraceFixedSolver takes any format, so the support must read one too
+        space = build_space(HilbertSpec(1, 2))
+        lv = TestTraceFixedSolver().canonical()
+        rho_inf = steady_state(lv, space.dim)
+        psi0 = space.basis_state("e", 0, 0)
+        n2op = space.annihilation("cavity2").conj().T @ space.annihilation("cavity2")
+        args = (np.outer(psi0, psi0.conj()), rho_inf, n2op)
+        ref = spt.dynamics.integrated_observable(lv, *args)
+        assert spt.dynamics.integrated_observable(lv.asformat(fmt), *args) == pytest.approx(
+            ref, rel=1e-12)
+
+    @pytest.mark.parametrize("keep", [[1, 2], [0, 2, 1], []])
+    def test_keep_without_entry_0_or_unsorted_is_value_error(self, keep):
+        lv = TestTraceFixedSolver().canonical()
+        with pytest.raises(ValueError, match="keep must"):
+            spt.dynamics.TraceFixedSolver(lv, TestTraceFixedSolver.space.dim, np.array(keep))
 
 
 class TestConcurrentAbsorption:
