@@ -14,8 +14,8 @@ from .dynamics import (PulseSpec, TimeSeries, gain_and_bandwidth, gaussian_pulse
 from .effective import (RateResult, dark_rates_steady, effective_jump, reflection_analytic,
                         setting_rate, setting_rate_analytic)
 from .hilbert import HilbertSpec, HilbertSpace, build_space
-from .model import (CollapseSet, DecoherenceParams, SystemParams, collapse_set,
-                    hamiltonian_finite_A, hamiltonian_ideal, nonhermitian)
+from .model import (DecoherenceParams, SystemParams, collapse_set, hamiltonian_finite_A,
+                    hamiltonian_ideal, nonhermitian)
 from .montecarlo import (CountStatistics, DarkRateEstimate, Trajectory,
                          dark_count_trajectories, gain_statistics, no_jump_rates,
                          run_trajectory)

@@ -31,7 +31,8 @@ import scipy.sparse.linalg as spla
 from . import ode
 from .effective import UndefinedRateError, setting_rate
 from .hilbert import HilbertSpec, HilbertSpace, build_space
-from .model import CollapseSet, DecoherenceParams, SystemParams, collapse_set, hamiltonian_ideal
+from .model import (DecoherenceParams, SystemParams, collapse_set, hamiltonian_ideal,
+                    nonhermitian)
 from .ode import _CompactLayout
 
 
@@ -210,13 +211,13 @@ class TimeSeries:
 # Liouvillian machinery
 # ---------------------------------------------------------------------------
 
-def liouvillian(h: np.ndarray, collapses: CollapseSet) -> sparse.csr_matrix:
+def liouvillian(h: np.ndarray, collapses: dict) -> sparse.csr_matrix:
     """Sparse Lindblad generator acting on row-major vectorized density matrices."""
     dim = h.shape[0]
     eye = sparse.identity(dim, format="csr")
     hs = sparse.csr_matrix(h)
     lv = -1j * (sparse.kron(hs, eye) - sparse.kron(eye, hs.T))
-    for c in collapses.matrices():
+    for c in collapses.values():
         cs = sparse.csr_matrix(c)
         cdc = (cs.conj().T @ cs).tocsr()
         lv = lv + sparse.kron(cs, cs.conj())
@@ -313,6 +314,19 @@ def steady_state(lv: sparse.csr_matrix, dim: int) -> np.ndarray:
     return TraceFixedSolver(lv, dim).steady_state()
 
 
+def _support(lv: sparse.csr_matrix, seeds: np.ndarray) -> np.ndarray:
+    """Sorted indices reachable from the boolean ``seeds`` in the sparsity
+    graph of ``lv`` (j -> i where lv[i, j] is stored), in any sparse format."""
+    lv = sparse.csr_matrix(lv)
+    pattern = sparse.csr_matrix((np.ones(lv.nnz), lv.indices, lv.indptr), shape=lv.shape)
+    reach = seeds.copy()
+    while True:
+        grown = reach | (pattern @ reach.astype(float) > 0)
+        if np.array_equal(grown, reach):
+            return np.flatnonzero(reach)
+        reach = grown
+
+
 def integrated_observable(
     lv: sparse.csr_matrix,
     rho0: np.ndarray,
@@ -399,7 +413,7 @@ def _grid_solve(fun, t_grid: np.ndarray, y0: np.ndarray, rtol: float, atol: floa
 
 def lindblad_propagate(
     h: np.ndarray,
-    collapses: CollapseSet,
+    collapses: dict,
     rho0: np.ndarray,
     t_grid: np.ndarray,
     tol: float = 1e-8,
@@ -556,42 +570,25 @@ def _first_click_absorption(
     return 1.0 - float(np.real(solver.y[dim])), solver.nfev
 
 
-def _support(lv: sparse.csr_matrix, seeds: np.ndarray) -> np.ndarray:
-    """Sorted indices reachable from the boolean ``seeds`` in the sparsity
-    graph of ``lv`` (j -> i where lv[i, j] is stored), in any sparse format."""
-    lv = sparse.csr_matrix(lv)
-    pattern = sparse.csr_matrix((np.ones(lv.nnz), lv.indices, lv.indptr), shape=lv.shape)
-    reach = seeds.copy()
-    while True:
-        grown = reach | (pattern @ reach.astype(float) > 0)
-        if np.array_equal(grown, reach):
-            return np.flatnonzero(reach)
-        reach = grown
-
-
-def _hierarchy_support(lv: sparse.csr_matrix, space: HilbertSpace):
+def _hierarchy_support(space: HilbertSpace):
     """(col, src, sup): the |g,0,0> column of rho_10 as indices into vec rho_10,
-    the places where the rho_11 source can be nonzero (dim x dim, boolean) on
-    the rows and columns g,1,0 and g,0,0, and the rho_11 support: the sorted
-    indices into vec rho_11 reachable from rho_00 and those places in the
-    sparsity graph of L (jump terms included).  Every other entry of the
-    hierarchy state stays exactly zero."""
+    the places where the rho_11 source can be nonzero (dim x dim, boolean),
+    and the rho_11 support as sorted indices into vec rho_11; every other
+    entry of the hierarchy state stays exactly zero.  The ideal H keeps the
+    excitation number Q (``HilbertSpace.excitations``) and no jump raises it,
+    so the column x lives at Q = 1, the source s + s^dag, s = [a1^dag,
+    |g,0,0><x|], on row g,1,0 at Q = 1, row g,0,0 at Q = 0 and their
+    transposes, and rho_11 on the (0,0) and (1,1) blocks of Q (where g1 or
+    omega is 0, some of those entries are never reached and stay zero)."""
     dim = space.dim
+    q = space.excitations()
     i_g00 = space.index("g", 0, 0)
-    i_g10 = space.index("g", 1, 0)
-    a1d = space.annihilation("cavity1").conj().T
-    col = np.arange(dim) * dim + i_g00
-    # x = the rho_10 column lives on the states reachable from g,1,0, and
-    # s = [a1^dag, rho_01] with rho_01 = |g,0,0><x| on rows g,1,0 (x's states)
-    # and g,0,0 (a1 x's states); the source s + s^dag sits there and on the
-    # transposed places, rho_00 at (g,0,0; g,0,0)
-    on_x = _support(lv[col][:, col], np.arange(dim) == i_g10)
     src = np.zeros((dim, dim), dtype=bool)
-    src[i_g10, on_x] = True
-    src[i_g00, np.abs(a1d[on_x]).sum(axis=0) > 0] = True
-    src[i_g00, i_g00] = True
+    src[space.index("g", 1, 0), q == 1] = True
+    src[i_g00, q == 0] = True
     src |= src.T
-    return col, src, _support(lv, src.reshape(-1))
+    sup = np.flatnonzero((q[:, None] == q) & (q <= 1)[:, None])
+    return np.arange(dim) * dim + i_g00, src, sup
 
 
 def _hierarchy_rhs(lv: sparse.csr_matrix, space: HilbertSpace, kappa1: float,
@@ -689,13 +686,14 @@ def single_photon_response(
     |g,0,0> is dark: H and every collapse operator annihilate it (checked;
     ValueError otherwise).  So rho_00 is stationary and rho_10 = |x(t)><g,0,0|
     exactly, and the right-hand side evolves only that column (dim entries,
-    not dim^2), and rho_11 only on the entries that L and the source can reach
-    (1210 of 4356 at (1,10)).  ``ode.DOP853`` steps only those 1276 of the
-    2 dim^2 = 8712 entries, as a compact state (its ``_CompactLayout``).  No
-    grid of states is stored: as the solve reaches grid points, their evolved
-    entries fill one block of _CHUNK points, and each block, when full and at
-    the grid's end, is rebuilt into full rho_10 and rho_11 blocks and reduced
-    at once to the output channels by per-time-point einsums.  Three rules
+    not dim^2), and rho_11 only on the (0,0) and (1,1) blocks of the
+    excitation number Q (1210 of 4356 at (1,10); ``_hierarchy_support``).
+    ``ode.DOP853`` steps only those 1276 of the 2 dim^2 = 8712 entries, as a
+    compact state (its ``_CompactLayout``).  No grid of states is stored: as
+    the solve reaches grid points, their evolved entries fill one block of
+    _CHUNK points, and each block, when full and at the grid's end, is
+    rebuilt into full rho_10 and rho_11 blocks and reduced at once to the
+    output channels by per-time-point einsums.  Three rules
     give the compact state the bits, steps and RHS calls of stepping all
     2 dim^2 entries:
 
@@ -746,13 +744,11 @@ def single_photon_response(
     h = hamiltonian_ideal(params, space)
     cols = collapse_set(params, decoherence, space)
     i_g00 = space.index("g", 0, 0)
-    if np.any(h[:, i_g00]) or any(np.any(c[:, i_g00]) for c in cols.matrices()):
+    if np.any(h[:, i_g00]) or any(np.any(c[:, i_g00]) for c in cols.values()):
         raise ValueError("single_photon_response needs a dark |g,0,0>: "
                          "H or a collapse operator does not annihilate it")
-    from .model import nonhermitian
-
     absorption = functools.partial(
-        _first_click_absorption, nonhermitian(h, cols), cols.get("kappa1"),
+        _first_click_absorption, nonhermitian(h, cols), cols["kappa1"],
         np.sqrt(params.kappa1), space.basis_state("g", 0, 0), space.index("g", 1, 0),
         pulse, (t_grid[0], t_grid[-1]), max(tol, 1e-9))
     with fork_call(absorption) as collect_absorption:
@@ -763,7 +759,7 @@ def single_photon_response(
         n2op = a2.conj().T @ a2
         rho00 = np.outer(space.basis_state("g", 0, 0), space.basis_state("g", 0, 0).conj())
         nf = dim * dim
-        support = _hierarchy_support(lv, space)
+        support = _hierarchy_support(space)
         keep = np.concatenate([support[0], nf + support[2]])   # every other entry stays 0
         layout = _CompactLayout.of(keep, 2 * nf)
         rhs = _hierarchy_rhs(lv, space, params.kappa1, pulse, support, layout)
@@ -867,7 +863,6 @@ def gain_and_bandwidth(
     params: SystemParams,
     decoherence: DecoherenceParams | None = None,
     n2_trunc: int = 10,
-    n1_trunc: int = 1,
 ) -> GainResult:
     """Gain and detection bandwidth of the transistor.
 
@@ -878,6 +873,8 @@ def gain_and_bandwidth(
     integration: one trace-fixed LU of the Liouvillian gives the steady state
     rho_inf and the resolvent X with L X = rho_inf - rho0, and
     N_out2 = kappa2 tr[n2 X] (the steady state holds no cavity-2 photon).
+    The space is (1, n2_trunc): |e,0,0> has excitation number Q = 1, which no
+    term raises, so a larger N1 adds only states the gain never reaches.
     The LU is of the full L: on |e,0,0>'s support it rounds differently, and
     a written gain moves in its last digit.  UndefinedRateError when Gamma_set
     is undefined or 0: with kappa1 = 0 nothing brings the qutrit back to g,
@@ -887,7 +884,7 @@ def gain_and_bandwidth(
     if gamma_set == 0:
         raise UndefinedRateError("the gain is taken at kappa1 = Gamma_set, and Gamma_set = 0 here")
     p = params.replace(kappa1=gamma_set)
-    space = build_space(HilbertSpec(n1_trunc, n2_trunc))
+    space = build_space(HilbertSpec(1, n2_trunc))
     h = hamiltonian_ideal(p, space)
     cols = collapse_set(p, decoherence, space)
     solver = TraceFixedSolver(liouvillian(h, cols), space.dim)
@@ -902,8 +899,7 @@ def gain_resolvent(
     params: SystemParams,
     decoherence: DecoherenceParams | None = None,
     n2_trunc: int = 10,
-    n1_trunc: int = 1,
 ) -> float:
     """The gain alone: ``gain_and_bandwidth(...).gain``; unused, kept while
     perfbench/tracer.py wraps it by name."""
-    return gain_and_bandwidth(params, decoherence, n2_trunc, n1_trunc).gain
+    return gain_and_bandwidth(params, decoherence, n2_trunc).gain

@@ -250,8 +250,8 @@ def dark_rates_steady(params: SystemParams) -> DarkSteadyRates:
     v = np.zeros((len(elim), 1), dtype=complex)
     v[elim.index(("e", 0, 0)), 0] = w_r
 
-    c_g_e = cols.get("kappa2_G")[:, elim_idx]   # full-space rows, eliminated columns
-    c_e_e = cols.get("kappa2_E")[:, elim_idx]
+    c_g_e = cols["kappa2_G"][:, elim_idx]   # full-space rows, eliminated columns
+    c_e_e = cols["kappa2_E"][:, elim_idx]
 
     jump_g = effective_jump(c_g_e, h_e, v)    # onto |g,0,0>
     jump_e = effective_jump(c_e_e, h_e, v)    # onto |e,0,0> and |f,0,0>

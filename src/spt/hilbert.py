@@ -27,6 +27,8 @@ class HilbertSpec:
     n2_max: int
 
     def __post_init__(self):
+        if not all(isinstance(n, (int, np.integer)) for n in (self.n1_max, self.n2_max)):
+            raise ValueError(f"truncations must be integers, got {self}")
         if self.n1_max < 0 or self.n2_max < 0:
             raise ValueError(f"truncations must be >= 0, got {self}")
 
@@ -75,6 +77,12 @@ class HilbertSpace:
 
     def label_names(self) -> list[str]:
         return ["|%s,%d,%d>" % self.labels(i) for i in range(self.dim)]
+
+    def excitations(self) -> np.ndarray:
+        """Q = n1 + [qutrit in e or f] of each basis index.  The ideal H keeps
+        Q and no jump raises it, so a single input photon reaches only Q <= 1."""
+        m, n1 = np.divmod(np.arange(self.dim) // (self.spec.n2_max + 1), self.spec.n1_max + 1)
+        return n1 + (m > 0)
 
     def basis_state(self, m, n1: int = 0, n2: int = 0) -> np.ndarray:
         psi = np.zeros(self.dim, dtype=complex)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,22 +73,6 @@ class DecoherenceParams:
 
     def __post_init__(self):
         _require_finite_rates(self, ("gamma", "gamma_phi"))
-
-
-@dataclass
-class CollapseSet:
-    """Ordered list of labelled jump operators."""
-
-    jumps: list = field(default_factory=list)  # list[(label, ndarray)]
-
-    def labels(self) -> list[str]:
-        return [lab for lab, _ in self.jumps]
-
-    def matrices(self) -> list[np.ndarray]:
-        return [m for _, m in self.jumps]
-
-    def get(self, label: str) -> np.ndarray:
-        return dict(self.jumps)[label]
 
 
 def _couplings(a1, a2, s1, s2, g1: float, g2: float, drive: float) -> np.ndarray:
@@ -155,39 +139,38 @@ def collapse_set(
     decoherence: DecoherenceParams | None,
     space: HilbertSpace,
     split: bool = False,
-) -> CollapseSet:
-    """All jump operators: cavity decays, qutrit decoherence, optional G/E split.
+) -> dict[str, np.ndarray]:
+    """Every jump operator by its label, in the order kappa1, kappa2 (or
+    kappa2_G and kappa2_E), gamma_eg, gamma_fe, gamma_p_ee, gamma_p_ff; the
+    qutrit ones only at a nonzero rate.
 
     With split=True the cavity-2 jump is replaced by the pair (C_G, C_E),
     built from the qutrit-g projector P_G and its complement P_E (qutrit in e
     or f); C_G + C_E = sqrt(kappa2) a2 exactly because a2 is
     block-diagonal in the qutrit index.
     """
-    a1 = space.annihilation("cavity1")
-    a2 = space.annihilation("cavity2")
-    jumps = [
-        ("kappa1", np.sqrt(params.kappa1) * a1),
-        ("kappa2", np.sqrt(params.kappa2) * a2),
-    ]
+    jumps = {"kappa1": np.sqrt(params.kappa1) * space.annihilation("cavity1")}
+    c2 = np.sqrt(params.kappa2) * space.annihilation("cavity2")
     if split:
         p_g = space.qutrit_projector("g")
         p_e = space.qutrit_projector("e", "f")
-        c2 = jumps.pop()[1]   # the kappa2 jump, replaced by its G and E parts
-        jumps += [("kappa2_G", p_g @ c2 @ p_g), ("kappa2_E", p_e @ c2 @ p_e)]
+        jumps.update(kappa2_G=p_g @ c2 @ p_g, kappa2_E=p_e @ c2 @ p_e)
+    else:
+        jumps["kappa2"] = c2
     if decoherence is not None:
         gamma, gamma_phi = decoherence.gamma, decoherence.gamma_phi
         if gamma > 0:
-            jumps.append(("gamma_eg", np.sqrt(gamma) * space.qutrit_op("g", "e")))
-            jumps.append(("gamma_fe", np.sqrt(2 * gamma) * space.qutrit_op("e", "f")))
+            jumps["gamma_eg"] = np.sqrt(gamma) * space.qutrit_op("g", "e")
+            jumps["gamma_fe"] = np.sqrt(2 * gamma) * space.qutrit_op("e", "f")
         if gamma_phi > 0:
-            jumps.append(("gamma_p_ee", np.sqrt(gamma_phi) * space.qutrit_op("e", "e")))
-            jumps.append(("gamma_p_ff", np.sqrt(2 * gamma_phi) * space.qutrit_op("f", "f")))
-    return CollapseSet(jumps)
+            jumps["gamma_p_ee"] = np.sqrt(gamma_phi) * space.qutrit_op("e", "e")
+            jumps["gamma_p_ff"] = np.sqrt(2 * gamma_phi) * space.qutrit_op("f", "f")
+    return jumps
 
 
-def nonhermitian(h: np.ndarray, collapses: CollapseSet) -> np.ndarray:
+def nonhermitian(h: np.ndarray, collapses: dict) -> np.ndarray:
     """H_NH = H - (i/2) sum_j C_j^dag C_j."""
     h_nh = h.astype(complex).copy()
-    for c in collapses.matrices():
+    for c in collapses.values():
         h_nh -= 0.5j * (c.conj().T @ c)
     return h_nh

@@ -45,8 +45,8 @@ from .dynamics import PulseSpec, fork_map, gaussian_pulse, pool_workers
 from .dynamics import solve_ivp  # noqa: F401
 from .effective import setting_rate
 from .hilbert import HilbertSpec, HilbertSpace, build_space
-from .model import (CollapseSet, DecoherenceParams, SystemParams, collapse_set,
-                    hamiltonian_finite_A, hamiltonian_ideal, nonhermitian)
+from .model import (DecoherenceParams, SystemParams, collapse_set, hamiltonian_finite_A,
+                    hamiltonian_ideal, nonhermitian)
 
 _TIME_REFINE = 1e-10     # relative bracket width at which the jump-time bisection stops
 _MARGIN_SAFETY = 2.0     # factor on the rounding and norm-growth bound of the margin
@@ -146,17 +146,17 @@ class EigenPropagator:
         return self._margin[0] + self._margin[1] * span
 
 
-def _photon_port(collapses: CollapseSet, space: HilbertSpace | None, pulse: PulseSpec | None):
+def _photon_port(collapses: dict, space: HilbertSpace | None, pulse: PulseSpec | None):
     """(sqrt(kappa1), index of |g,1,0>, |g,0,0>) for a single-photon input.
 
     ValueError when there is no pulse or space, or the photon cannot couple in.
     """
     if pulse is None or space is None:
         raise ValueError("single-photon-input requires pulse and space")
-    if "kappa1" not in collapses.labels():
+    if "kappa1" not in collapses:
         raise ValueError("single-photon-input requires a kappa1 channel")
     g10 = space.basis_state("g", 1, 0)
-    sqrt_k1 = float(np.linalg.norm(collapses.get("kappa1") @ g10))
+    sqrt_k1 = float(np.linalg.norm(collapses["kappa1"] @ g10))
     if sqrt_k1 <= 0:
         raise ValueError("kappa1 channel has zero amplitude; photon cannot couple in")
     return sqrt_k1, int(np.argmax(np.abs(g10))), space.basis_state("g", 0, 0)
@@ -182,7 +182,7 @@ class PulsePath:
     pre-jump state is bit for bit that of a solve_ivp event run of its own.
     """
 
-    def __init__(self, h_nh: np.ndarray, collapses: CollapseSet, space: HilbertSpace | None,
+    def __init__(self, h_nh: np.ndarray, collapses: dict, space: HilbertSpace | None,
                  pulse: PulseSpec | None, t_start: float, t_end: float,
                  psi0: np.ndarray | None = None):
         self.pulse = pulse
@@ -347,7 +347,7 @@ def _parse_init(init, space: HilbertSpace) -> np.ndarray:
 
 def run_trajectory(
     h_nh: np.ndarray,
-    collapses: CollapseSet,
+    collapses: dict,
     init,
     duration: float,
     seed,
@@ -366,12 +366,12 @@ def run_trajectory(
     ``pulse_path``, for a single-photon input, is the pre-click path shared by
     the trajectories of one ensemble: it must be built from the same H_NH,
     collapses, space and pulse over [0, duration].  One is built when none is
-    given.
+    given.  ValueError unless ``duration`` is finite and > 0.
     """
+    if not (math.isfinite(duration) and duration > 0):
+        raise ValueError(f"a trajectory needs a finite duration > 0, got {duration}")
     rng = trajectory_rng(*seed) if isinstance(seed, tuple) else trajectory_rng(seed, 0)
-
-    labels = collapses.labels()
-    mats = collapses.matrices()
+    labels, mats = list(collapses), list(collapses.values())
 
     t, t_end = 0.0, float(duration)
     pulse_mode = isinstance(init, str) and init == "single-photon-input"
@@ -472,7 +472,7 @@ def run_trajectory(
 
 def run_ensemble(
     h_nh: np.ndarray,
-    collapses: CollapseSet,
+    collapses: dict,
     init,
     duration: float,
     n_traj: int,
@@ -743,8 +743,7 @@ def no_jump_rates(
     window of 10 periods of 2 pi / sqrt(g2^2 + omega^2), on 4000 points.
     """
     space, cols, h_nh = _dark_model(params, _DARK_SPEC)
-    c_g = cols.get("kappa2_G")
-    c_e = cols.get("kappa2_E")
+    c_g, c_e = cols["kappa2_G"], cols["kappa2_E"]
 
     prop = EigenPropagator(h_nh)
     psi0 = space.basis_state("g", 0, 0)

@@ -85,8 +85,7 @@ def run_trajectory(h_nh, collapses, init, duration, seed, pulse=None, space=None
                    propagator=None, pulse_path=None):
     """One trajectory from the Philox stream ``seed`` = (base_seed, index)."""
     rng = np.random.Generator(np.random.Philox(key=[int(seed[0]), int(seed[1])]))
-    labels = collapses.labels()
-    mats = collapses.matrices()
+    labels, mats = list(collapses), list(collapses.values())
 
     t, t_end = 0.0, float(duration)
     pulse_mode = isinstance(init, str) and init == "single-photon-input"

@@ -35,7 +35,7 @@ def exact_count_moments(
     cols = collapse_set(p, None, space)
     lv = liouvillian(h, cols)
     dim = space.dim
-    cs = sparse.csr_matrix(cols.get(label))
+    cs = sparse.csr_matrix(cols[label])
     jump_super = sparse.kron(cs, cs.conj()).tocsr()
     psi0 = space.basis_state("e", 0, 0)
     rho0 = np.outer(psi0, psi0.conj()).reshape(-1)

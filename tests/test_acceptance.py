@@ -24,8 +24,7 @@ from spt.dynamics import PulseSpec, gain_and_bandwidth, reflection_sweep, single
 from spt.effective import (dark_asymptotic_enhanced, dark_rates_steady,
                            reflection_analytic, setting_rate, setting_rate_analytic)
 from spt.hilbert import HilbertSpec, build_space
-from spt.model import (CollapseSet, DecoherenceParams, SystemParams, collapse_set,
-                       hamiltonian_ideal, nonhermitian)
+from spt.model import DecoherenceParams, SystemParams, collapse_set, hamiltonian_ideal, nonhermitian
 from spt.montecarlo import dark_count_trajectories, gain_statistics, no_jump_rates
 
 G2_MHZ = 120.0
@@ -414,7 +413,7 @@ def test_criterion_11_property_suite():
 
     # split jump reassembly
     split = collapse_set(p, None, space, split=True)
-    assert np.allclose(split.get("kappa2_G") + split.get("kappa2_E"),
+    assert np.allclose(split["kappa2_G"] + split["kappa2_E"],
                        np.sqrt(p.kappa2) * space.annihilation("cavity2"))
 
     # effective-jump g1^2 scaling
@@ -426,7 +425,7 @@ def test_criterion_11_property_suite():
     from spt.montecarlo import run_ensemble
 
     dspace = build_space(HilbertSpec(0, 1))
-    dcols = CollapseSet([("kappa2", np.sqrt(0.5) * dspace.annihilation("cavity2"))])
+    dcols = {"kappa2": np.sqrt(0.5) * dspace.annihilation("cavity2")}
     d_nh = nonhermitian(np.zeros((dspace.dim,) * 2, dtype=complex), dcols)
     t_serial = run_ensemble(d_nh, dcols, "e,0,1", 40.0, 12, 3, space=dspace, threads=1)
     t_pool = run_ensemble(d_nh, dcols, "e,0,1", 40.0, 12, 3, space=dspace, threads=2)

@@ -15,7 +15,7 @@ _SPACE = build_space(HilbertSpec(0, 1))
 def model_blocks(g2, omega, kappa2=1.0):
     """The model's H and kappa2 jump, restricted to the excited manifold."""
     p = SystemParams(g2=g2, omega=omega, kappa2=kappa2)
-    jump = collapse_set(p, None, _SPACE).get("kappa2")
+    jump = collapse_set(p, None, _SPACE)["kappa2"]
     return restrict(hamiltonian_ideal(p, _SPACE), _SPACE), restrict(jump, _SPACE)
 
 

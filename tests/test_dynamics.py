@@ -18,8 +18,8 @@ from scipy.integrate import DOP853, solve_ivp
 import spt.dynamics
 import spt.ode
 from spt.hilbert import HilbertSpec, build_space
-from spt.model import (CollapseSet, DecoherenceParams, SystemParams, collapse_set,
-                       hamiltonian_ideal, nonhermitian)
+from spt.model import (DecoherenceParams, SystemParams, collapse_set, hamiltonian_ideal,
+                       nonhermitian)
 from spt.dynamics import (PulseSpec, SinglePhotonResult, SteadyStateError, TimeSeries,
                           fork_call, fork_map, gain_and_bandwidth, gaussian_pulse,
                           lindblad_propagate, liouvillian, pool_workers, reflection_sweep,
@@ -102,7 +102,7 @@ class TestLindblad:
     def test_exponential_decay(self):
         space = build_space(HilbertSpec(1, 1))
         k2 = 0.8
-        cols = CollapseSet([("kappa2", np.sqrt(k2) * space.annihilation("cavity2"))])
+        cols = {"kappa2": np.sqrt(k2) * space.annihilation("cavity2")}
         psi = space.basis_state("e", 0, 1)
         rho0 = np.outer(psi, psi.conj())
         t = np.linspace(0, 6, 61)
@@ -118,7 +118,7 @@ class TestLindblad:
         psi = space.basis_state("e", 0, 0)
         rho0 = np.outer(psi, psi.conj())
         t = np.linspace(0, 10, 21)
-        _, rho_end = lindblad_propagate(h, CollapseSet([]), rho0, t, tol=1e-10)
+        _, rho_end = lindblad_propagate(h, {}, rho0, t, tol=1e-10)
         assert np.trace(rho_end).real == pytest.approx(1.0, abs=1e-9)
         assert np.trace(rho_end @ rho_end).real == pytest.approx(1.0, abs=1e-9)
 
@@ -134,7 +134,7 @@ class TestLindblad:
         psi = (space.basis_state("e", 0, 0) + space.basis_state("g", 1, 0)) / np.sqrt(2)
         rho0 = np.outer(psi, psi.conj())
         t = np.linspace(0, 20, 11)
-        ts, _ = lindblad_propagate(h, CollapseSet([]), rho0, t, tol=1e-9,
+        ts, _ = lindblad_propagate(h, {}, rho0, t, tol=1e-9,
                                    expectations={"N": n_op})
         assert np.max(np.abs(ts.channels["N"] - ts.channels["N"][0])) < 1e-7
 
@@ -538,7 +538,7 @@ class TestHierarchyColumn:
 
         def pumped(params, decoherence, space, **kw):
             cols = collapse_set(params, decoherence, space, **kw)
-            cols.jumps.append(("pump", 0.1 * space.qutrit_op("e", "g")))
+            cols["pump"] = 0.1 * space.qutrit_op("e", "g")
             return cols
 
         monkeypatch.setattr(spt.dynamics, "collapse_set", pumped)
@@ -630,7 +630,7 @@ def _reference_response(params, pulse, t_grid, spec, decoherence, tol, rhs=_full
     a2 = space.annihilation("cavity2")
     n2op = a2.conj().T @ a2
     rho00 = np.outer(space.basis_state("g", 0, 0), space.basis_state("g", 0, 0).conj())
-    fun = rhs(lv, space, params.kappa1, pulse, spt.dynamics._hierarchy_support(lv, space))
+    fun = rhs(lv, space, params.kappa1, pulse, spt.dynamics._hierarchy_support(space))
     y0 = np.zeros(2 * nf, dtype=complex)
     y0[nf:] = rho00.reshape(-1)
     sol = solve_ivp(fun, (t_grid[0], t_grid[-1]), y0, t_eval=t_grid,
@@ -651,7 +651,7 @@ def _reference_response(params, pulse, t_grid, spec, decoherence, tol, rhs=_full
         channels[f"pop_{level}"] = np.einsum("ij,tji->t", space.qutrit_projector(level),
                                              rho11_t).real
     absorbed, absorption_evals = spt.dynamics._first_click_absorption(
-        nonhermitian(h, cols), cols.get("kappa1"), np.sqrt(params.kappa1),
+        nonhermitian(h, cols), cols["kappa1"], np.sqrt(params.kappa1),
         space.basis_state("g", 0, 0), space.index("g", 1, 0),
         pulse, (t_grid[0], t_grid[-1]), max(tol, 1e-9))
     tail = params.kappa2 * spt.dynamics.integrated_observable(lv, rho11_t[-1], rho00, n2op)
@@ -739,8 +739,7 @@ class TestKeptEntries:
                                       rhs=_full_block_rhs)
         _assert_same_bits(res, ref)
         space = build_space(spec)
-        lv = liouvillian(hamiltonian_ideal(self.p, space), collapse_set(self.p, None, space))
-        col, _, sup = spt.dynamics._hierarchy_support(lv, space)
+        col, _, sup = spt.dynamics._hierarchy_support(space)
         dropped = np.ones(len(ys), dtype=bool)
         dropped[col] = dropped[space.dim ** 2 + sup] = False
         assert dropped.sum() > 0 and ys.shape[1] == len(grid)
@@ -776,7 +775,7 @@ def _stored_response(params, pulse, t_grid, spec, decoherence, tol):
     a2 = space.annihilation("cavity2")
     n2op = a2.conj().T @ a2
     rho00 = np.outer(space.basis_state("g", 0, 0), space.basis_state("g", 0, 0).conj())
-    support = spt.dynamics._hierarchy_support(lv, space)
+    support = spt.dynamics._hierarchy_support(space)
     keep = np.concatenate([support[0], nf + support[2]])
     layout = spt.dynamics._CompactLayout.of(keep, 2 * nf)
     rhs = spt.dynamics._hierarchy_rhs(lv, space, params.kappa1, pulse, support, layout)
@@ -811,7 +810,7 @@ def _stored_response(params, pulse, t_grid, spec, decoherence, tol):
         xi_t * np.conj(out["a1_rho10"])), 0.0, None)
     tail = params.kappa2 * spt.dynamics.integrated_observable(lv, final_rho, rho00, n2op)
     absorbed, absorption_evals = spt.dynamics._first_click_absorption(
-        nonhermitian(h, cols), cols.get("kappa1"), np.sqrt(params.kappa1),
+        nonhermitian(h, cols), cols["kappa1"], np.sqrt(params.kappa1),
         space.basis_state("g", 0, 0), space.index("g", 1, 0),
         pulse, (t_grid[0], t_grid[-1]), max(tol, 1e-9))
     channels = {"I_in1": i_in1, "I_out1": i_out1, "I_out2": i_out2, "n1": out["n1"],
@@ -881,8 +880,7 @@ class TestStreamedReduction:
             finally:
                 tracemalloc.stop()
         space = build_space(spec)
-        col, _, sup = spt.dynamics._hierarchy_support(
-            liouvillian(hamiltonian_ideal(p, space), collapse_set(p, None, space)), space)
+        col, _, sup = spt.dynamics._hierarchy_support(space)
         stored = (len(col) + len(sup)) * (3000 - 300) * 16
         assert peaks[3000] - peaks[300] < stored / 10, (peaks, stored)
 
@@ -1287,18 +1285,18 @@ def _lindblad_cases():
     """The lindblad_propagate calls of TestLindblad and TestGain, as (h, cols, rho0, t, kw)."""
     cases = []
     space = build_space(HilbertSpec(1, 1))
-    cols = CollapseSet([("kappa2", np.sqrt(0.8) * space.annihilation("cavity2"))])
+    cols = {"kappa2": np.sqrt(0.8) * space.annihilation("cavity2")}
     psi = space.basis_state("e", 0, 1)
     cases.append((np.zeros((space.dim,) * 2, dtype=complex), cols, np.outer(psi, psi.conj()),
                   np.linspace(0, 6, 61), {"expectations": {"n2": space.number("cavity2")}}))
     h = hamiltonian_ideal(SystemParams(g1=0.1, g2=1, omega=2), space)
     psi = space.basis_state("e", 0, 0)
-    cases.append((h, CollapseSet([]), np.outer(psi, psi.conj()), np.linspace(0, 10, 21),
+    cases.append((h, {}, np.outer(psi, psi.conj()), np.linspace(0, 10, 21),
                   {"tol": 1e-10}))
     space = build_space(HilbertSpec(1, 2))
     h = hamiltonian_ideal(SystemParams(g1=0.3, g2=1, omega=0.0), space)
     psi = (space.basis_state("e", 0, 0) + space.basis_state("g", 1, 0)) / np.sqrt(2)
-    cases.append((h, CollapseSet([]), np.outer(psi, psi.conj()), np.linspace(0, 20, 11),
+    cases.append((h, {}, np.outer(psi, psi.conj()), np.linspace(0, 20, 11),
                   {"tol": 1e-9, "expectations": {"N": space.number("cavity1")}}))
     space = build_space(HilbertSpec(0, 1))
     p = SystemParams(g1=0, g2=1, omega=2, kappa2=0.1)
@@ -1371,6 +1369,22 @@ class TestGain:
         monkeypatch.setattr(spt.dynamics, "_grid_solve", counted_solve_ivp)
         gain_and_bandwidth(SystemParams(g1=0.15, g2=1, omega=2, kappa2=1), n2_trunc=6)
         assert calls == {"splu": 1, "solve_ivp": 0}
+
+    @pytest.mark.parametrize("dec", [None, _DEC], ids=["ideal", "decoherence"])
+    def test_gain_does_not_depend_on_n1(self, dec):
+        # |e,0,0> has Q = 1, which no term raises: the full basis at N1 = 2 and
+        # 4 gives the gain that gain_and_bandwidth takes at N1 = 1
+        p = SystemParams(g1=0.15, g2=1, omega=2, kappa2=1)
+        res = gain_and_bandwidth(p, dec, n2_trunc=8)
+        pm = p.replace(kappa1=res.bandwidth)
+        for n1 in (2, 4):
+            space = build_space(HilbertSpec(n1, 8))
+            lv = liouvillian(hamiltonian_ideal(pm, space), collapse_set(pm, dec, space))
+            full = spt.dynamics.TraceFixedSolver(lv, space.dim)
+            psi0 = space.basis_state("e", 0, 0)
+            x = full.resolvent(full.steady_state() - np.outer(psi0, psi0.conj()))
+            gain = p.kappa2 * spt.dynamics._expectation(space.number("cavity2"), x)
+            assert gain == pytest.approx(res.gain, rel=1e-12), n1
 
     def test_truncation_convergence(self):
         p = SystemParams(g1=0.05, g2=1, omega=2, kappa2=1)

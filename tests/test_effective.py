@@ -95,7 +95,7 @@ class TestSettingRate:
         cols = collapse_set(params, None, space)
         idx = [space.index(level, 0, k) for k in range(n2 + 1) for level in "ef"]
         h_model = nonhermitian(hamiltonian_ideal(params, space), cols)[np.ix_(idx, idx)]
-        c_model = cols.get("kappa2")[np.ix_(idx, idx)]
+        c_model = cols["kappa2"][np.ix_(idx, idx)]
         h, c, _ = _excited_block_nh(params, n2)
         for block, model in ((h, h_model), (c, c_model)):
             assert np.max(np.abs(block - model)) <= 1e-14 * np.max(np.abs(model))
@@ -157,8 +157,8 @@ class TestDarkRates:
         v = np.zeros((len(elim), 1), dtype=complex)
         v[elim.index(i_e00), 0] = residual_drive_element(p)
         h_e = h_nh[np.ix_(elim, elim)]
-        jump_g = effective_jump(cols.get("kappa2_G")[:, elim], h_e, v)
-        jump_e = effective_jump(cols.get("kappa2_E")[:, elim], h_e, v)
+        jump_g = effective_jump(cols["kappa2_G"][:, elim], h_e, v)
+        jump_e = effective_jump(cols["kappa2_E"][:, elim], h_e, v)
         r7 = dark_rates_steady(p)
         assert abs(jump_g[i_g00, 0]) ** 2 == pytest.approx(r7.single.value, rel=1e-3)
         assert (abs(jump_e[i_e00, 0]) ** 2 + abs(jump_e[i_f00, 0]) ** 2

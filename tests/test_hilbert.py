@@ -3,12 +3,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spt.dynamics
+from spt.dynamics import liouvillian
+from spt.effective import setting_rate
 from spt.hilbert import QUTRIT_LEVELS, HilbertSpec, build_space, is_hermitian
+from spt.model import (DecoherenceParams, SystemParams, collapse_set, hamiltonian_finite_A,
+                       hamiltonian_ideal)
 
 
 def test_dimensions():
     assert HilbertSpec(1, 1).dim == 12
     assert HilbertSpec(2, 16).dim == 153
+
+
+@pytest.mark.parametrize("n1, n2", [(1.5, 2), (1, 2.0), ("1", 2), (None, 2)])
+def test_non_integer_truncation_is_value_error(n1, n2):
+    # HilbertSpec(1.5, 2) once reported dim 22.5 and built 27 x 27 operators
+    with pytest.raises(ValueError, match="integers"):
+        HilbertSpec(n1, n2)
+
+
+def test_numpy_integer_truncation_is_accepted():
+    spec = HilbertSpec(np.int64(1), np.int32(2))
+    assert spec.dim == 18
+    assert build_space(spec).basis_state("f", 1, 2)[-1] == 1.0
 
 
 def test_ordering_convention():
@@ -155,3 +173,69 @@ def test_kronecker_operators_equal_label_loops(n1, n2):
 def test_bad_qutrit_level_is_value_error(call):
     with pytest.raises(ValueError, match="qutrit level"):
         call(build_space(HilbertSpec(1, 1)))
+
+
+# -- the excitation number Q = n1 + [qutrit in e or f] -----------------------
+
+def test_excitations_label_by_label():
+    space = build_space(HilbertSpec(3, 2))
+    q = space.excitations()
+    assert [q[i] for i in range(space.dim)] == [
+        n1 + (m != "g") for m, n1, _ in map(space.labels, range(space.dim))]
+
+
+def _q_shifts(op, q) -> set:
+    """Q[row] - Q[column] over the nonzeros of ``op``: index pairs, not
+    Q C - C Q, whose dense products round at N1 >= 2."""
+    rows, cols = np.nonzero(op)
+    return set((q[rows] - q[cols]).tolist())
+
+
+_GAMMA = DecoherenceParams(0.01, 0.005)
+
+
+@pytest.mark.parametrize("n1", [1, 2, 4])
+@pytest.mark.parametrize("dec", [None, _GAMMA], ids=["ideal", "decoherence"])
+def test_excitation_number_is_a_weak_symmetry(n1, dec):
+    # the ideal H keeps Q, and no jump raises it; finite A breaks it, which is
+    # why the dark-count paths stay on the full space
+    space = build_space(HilbertSpec(n1, 16))
+    q = space.excitations()
+    p = SystemParams(g1=0.15, g2=1, omega=2, kappa1=0.1, kappa2=1)
+    assert _q_shifts(hamiltonian_ideal(p, space), q) == {0}
+    jumps = collapse_set(p, dec, space)
+    assert len(jumps) == (2 if dec is None else 6)
+    for label, c in jumps.items():
+        assert _q_shifts(c, q) == ({-1} if label in ("kappa1", "gamma_eg") else {0}), label
+    h_a = hamiltonian_finite_A(p.replace(anharmonicity=40.0), space)
+    assert _q_shifts(h_a, q) == {-1, 0, 1}
+
+
+def _reach_support(lv, space):
+    """Oracle: (col, src, sup) of the hierarchy by graph search in L's sparsity
+    (``spt.dynamics._support``): x from |g,1,0> in the |g,0,0> column, the
+    source on rows g,1,0 (x's states) and g,0,0 (a1 x's states) and their
+    transposes, and rho_11 from those places."""
+    dim = space.dim
+    i_g00, i_g10 = space.index("g", 0, 0), space.index("g", 1, 0)
+    a1d = space.annihilation("cavity1").conj().T
+    col = np.arange(dim) * dim + i_g00
+    on_x = spt.dynamics._support(lv[col][:, col], np.arange(dim) == i_g10)
+    src = np.zeros((dim, dim), dtype=bool)
+    src[i_g10, on_x] = True
+    src[i_g00, np.abs(a1d[on_x]).sum(axis=0) > 0] = True
+    src[i_g00, i_g00] = True
+    src |= src.T
+    return col, src, spt.dynamics._support(lv, src.reshape(-1))
+
+
+@pytest.mark.parametrize("spec, dec", [(HilbertSpec(1, 10), None), (HilbertSpec(1, 10), _GAMMA),
+                                       (HilbertSpec(2, 6), None)],
+                         ids=["pulse-point", "decoherence", "n1-2"])
+def test_q_blocks_are_the_reach_of_l(spec, dec):
+    p0 = SystemParams(g1=0.15, g2=1, omega=2, kappa2=1)   # the benchmark's pulse point
+    p = p0.replace(kappa1=setting_rate(p0, 10).value)
+    space = build_space(spec)
+    lv = liouvillian(hamiltonian_ideal(p, space), collapse_set(p, dec, space))
+    for got, want in zip(spt.dynamics._hierarchy_support(space), _reach_support(lv, space)):
+        assert np.array_equal(got, want)

@@ -15,8 +15,8 @@ import frozen_trajectory
 import spt.montecarlo as mc
 import spt.ode
 from spt.hilbert import HilbertSpec, build_space
-from spt.model import (CollapseSet, SystemParams, collapse_set, hamiltonian_finite_A,
-                       hamiltonian_ideal, nonhermitian)
+from spt.model import (SystemParams, collapse_set, hamiltonian_finite_A, hamiltonian_ideal,
+                       nonhermitian)
 from spt.dynamics import PulseSpec, gain_and_bandwidth, gaussian_pulse
 from spt.effective import dark_rates_steady, setting_rate
 from spt.montecarlo import (EigenPropagator, counts_to_statistics, dark_count_trajectories,
@@ -28,7 +28,7 @@ from spt.montecarlo import (EigenPropagator, counts_to_statistics, dark_count_tr
 def decaying_level():
     space = build_space(HilbertSpec(0, 1))
     k2 = 0.7
-    cols = CollapseSet([("kappa2", np.sqrt(k2) * space.annihilation("cavity2"))])
+    cols = {"kappa2": np.sqrt(k2) * space.annihilation("cavity2")}
     h_nh = nonhermitian(np.zeros((space.dim,) * 2, dtype=complex), cols)
     return space, cols, h_nh, k2
 
@@ -43,11 +43,18 @@ class TestRunTrajectory:
 
     def test_no_collapses_no_jumps(self):
         space = build_space(HilbertSpec(0, 1))
-        cols = CollapseSet([])
+        cols = {}
         h = np.zeros((space.dim,) * 2, dtype=complex)
         tr = run_trajectory(h, cols, "e,0,1", 50.0, (1, 0), space=space)
         assert tr.jumps == []
         assert tr.final_norm_accounting == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("duration", [math.nan, -5.0, 0.0, math.inf])
+    def test_bad_duration_is_value_error(self, decaying_level, duration):
+        # it once returned an empty Trajectory echoing the duration (inf: NaN warnings)
+        space, cols, h_nh, _ = decaying_level
+        with pytest.raises(ValueError, match="finite duration > 0"):
+            run_trajectory(h_nh, cols, "e,0,1", duration, (1, 0), space=space)
 
     def test_deterministic_given_seed(self, decaying_level):
         space, cols, h_nh, _ = decaying_level
@@ -72,11 +79,10 @@ class TestRunTrajectory:
         # replay: between jumps the norm decreases; after each jump it is 1
         psi = space.basis_state("e", 0, 0)
         t_prev = 0.0
-        mats = dict(cols.jumps)
         for t_jump, lab in tr.jumps:
             z0 = prop.coeffs(psi)
             assert prop.norm_sq(z0, t_jump - t_prev) <= 1.0 + 1e-9
-            psi = mats[lab] @ prop.state(z0, t_jump - t_prev)
+            psi = cols[lab] @ prop.state(z0, t_jump - t_prev)
             psi /= np.linalg.norm(psi)
             assert np.vdot(psi, psi).real == pytest.approx(1.0, abs=1e-12)
             t_prev = t_jump
@@ -311,7 +317,7 @@ class _SolveIvpPath:
         self.psi0 = np.zeros(h_nh.shape[0], dtype=complex) if psi0 is None else psi0
         if pulse is not None:
             g10 = space.basis_state("g", 1, 0)
-            self.sqrt_k1 = float(np.linalg.norm(collapses.get("kappa1") @ g10))
+            self.sqrt_k1 = float(np.linalg.norm(collapses["kappa1"] @ g10))
             self.i_g10 = int(np.argmax(np.abs(g10)))
 
     def crossing(self, u):
@@ -444,6 +450,8 @@ class TestPulsePath:
     def test_path_that_does_not_go_forward_is_refused(self, duration):
         space, cols, h_nh, init, _, _, pulse = _pulse_input()
         with pytest.raises(ValueError, match="t_bound must be after t0"):
+            mc.PulsePath(h_nh, cols, space, pulse, 0.0, duration)
+        with pytest.raises(ValueError, match="finite duration > 0"):
             run_trajectory(h_nh, cols, init, duration, (1, 0), pulse=pulse, space=space)
 
 
@@ -524,7 +532,7 @@ class TestEnsembleSetUp:
 
     def test_bad_pulse_input_raises_before_the_pool(self, monkeypatch):
         space, cols, h_nh, init, duration, _, pulse = _pulse_input()
-        no_kappa1 = CollapseSet([(lab, c) for lab, c in cols.jumps if lab != "kappa1"])
+        no_kappa1 = {lab: c for lab, c in cols.items() if lab != "kappa1"}
         contexts, get_context = [], multiprocessing.get_context
         monkeypatch.setattr(multiprocessing, "get_context",
                             lambda method=None: contexts.append(method) or get_context(method))
@@ -572,7 +580,7 @@ class TestGainStatistics:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             st_ = gain_statistics(p, 300, 700.0, 123, spec=HilbertSpec(2, 16), threads=1)
-            oracle = gain_and_bandwidth(p, n2_trunc=16, n1_trunc=2).gain
+            oracle = gain_and_bandwidth(p, n2_trunc=16).gain
         assert st_.mean == pytest.approx(oracle, abs=3 * st_.statistical_error)
         # super-Poissonian with 3 sigma confidence
         n = st_.n_traj
@@ -594,7 +602,7 @@ class TestGainStatistics:
         rho0 = np.outer(psi0, psi0.conj())
         rho_inf = steady_state(lv, space.dim)
         expected = {}
-        for lab, c in cols.jumps:
+        for lab, c in cols.items():
             expected[lab] = integrated_observable(lv, rho0, rho_inf, c.conj().T @ c)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -666,14 +674,14 @@ class TestDarkCounts:
         # A/g2 = 10, so that bursts open and close
         p = SystemParams(g1=0.2, g2=1, omega=2, kappa2=0.1, anharmonicity=10)
         space, cols, h_nh = _finite_a(10.0)
-        prop, mats = EigenPropagator(h_nh), dict(cols.jumps)
+        prop = EigenPropagator(h_nh)
         for seed in (1, 2, 3):
             est = dark_count_trajectories(p, 10, 5000.0, seed, threads=1)
             trajs = run_ensemble(h_nh, cols, "g,0,0", 5000.0, 10, seed, space=space, threads=1)
             singles = bursts = 0
             dwell = 0.0
             for tr in trajs:
-                s, b, d = replay(tr, prop, mats, space)
+                s, b, d = replay(tr, prop, cols, space)
                 singles, bursts, dwell = singles + s, bursts + b, dwell + d
             assert bursts > 0 and singles > 0
             assert (est.n_events_single, est.n_events_enhanced, est.excited_dwell_time) == (

@@ -5,7 +5,10 @@ than its default.  The callers read are every ``src/spt`` module, the scripts
 under ``scripts/`` and the code of ``perfbench/``.  A call passes a parameter
 by keyword, by position, or through ``*args`` (every positional parameter
 from the star on) or ``**kwargs`` (every parameter).  Calls are matched by
-name, as ``f(...)`` or ``x.f(...)``.
+name, as ``f(...)`` or ``x.f(...)``.  A call inside a top-level function or
+method that nothing else names is not counted, nor one inside a function
+named only from such dead code: a pass-through that nothing calls keeps no
+option alive.
 
 Public means a top-level function, or a method of a top-level class, whose
 name does not start with ``_``.  A function that no caller outside ``tests/``
@@ -50,17 +53,42 @@ def _defaulted(node, skip: int) -> list:
     return found
 
 
+def _owned_nodes(tree):
+    """(owner, node) for every node of ``tree``: the owner is the top-level
+    function or method of a top-level class that holds the node, None at
+    module and class level and in dunder methods, which run unnamed."""
+    for top in tree.body:
+        for unit in top.body if isinstance(top, ast.ClassDef) else [top]:
+            named = isinstance(unit, ast.FunctionDef) and not unit.name.startswith("__")
+            owner = unit if named else None
+            for node in ast.walk(unit):
+                yield owner, node
+
+
+def _name(node) -> str | None:
+    return (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+
+
 def _calls(trees) -> dict:
-    """Function name -> list of ast.Call nodes that call it by that name."""
+    """Function name -> list of ast.Call nodes that call it by that name,
+    leaving out the calls in dead code (see the module docstring)."""
+    owned = [pair for tree in trees for pair in _owned_nodes(tree)]
+    dead = set()
+    while True:
+        named = {}   # name -> owners whose live code names it
+        for owner, node in owned:
+            if owner not in dead and _name(node) is not None:
+                named.setdefault(_name(node), set()).add(owner)
+        now = {owner for owner, _ in owned
+               if owner is not None and not named.get(owner.name, set()) - {owner}}
+        if now == dead:
+            break
+        dead = now
     calls = {}
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = (func.id if isinstance(func, ast.Name)
-                        else func.attr if isinstance(func, ast.Attribute) else None)
-                if name is not None:
-                    calls.setdefault(name, []).append(node)
+    for owner, node in owned:
+        if owner not in dead and isinstance(node, ast.Call) and _name(node.func) is not None:
+            calls.setdefault(_name(node.func), []).append(node)
     return calls
 
 
@@ -118,6 +146,10 @@ def test_the_option_guard_sees_each_form(tmp_path):
         "def starred(x, a=1, b=2):\n    pass\n\n"
         "def double_starred(x, c=1):\n    pass\n\n"
         "def uncalled(x, d=1):\n    pass\n\n"
+        "def inner(x, via_dead=1):\n    pass\n\n"
+        "def pass_through(x, via_dead=1):\n    return inner(x, via_dead)\n\n"
+        "def calls_pass_through(x):\n    return pass_through(x, 2)\n\n"
+        "def recursive(x, r=1):\n    return recursive(x, r) + inner(x, via_dead=r)\n\n"
         "def _private(x, e=1):\n    pass\n\n"
         "class K:\n"
         "    def m(self, p=1, q=2):\n        pass\n\n"
@@ -125,11 +157,12 @@ def test_the_option_guard_sees_each_form(tmp_path):
         "    def s(p=1, q=2):\n        pass\n\n"
         "    def _hidden(self, r=1):\n        pass\n\n"
         "_private(0)\n")
-    (src / "b.py").write_text("from .a import f\n\nf(0, by_key=1)\n")
+    (src / "b.py").write_text("from .a import f, inner\n\nf(0, by_key=1)\ninner(0)\n")
     (scripts / "run.py").write_text(
         "import spt.a\n\nspt.a.f(0, 1, 2, kw_only=0)\nspt.a.K().m(5)\nspt.a.K.s(5)\n")
     (bench / "tracer.py").write_text(
         "from spt.a import starred, double_starred\n\n"
         "args = (1,)\nstarred(0, *args)\ndouble_starred(0, **{})\n")
     assert unset_options(src, scripts, bench) == [
-        ("a", "f", "unset"), ("a", "f", "kw_unset"), ("a", "m", "q"), ("a", "s", "q")]
+        ("a", "f", "unset"), ("a", "f", "kw_unset"), ("a", "inner", "via_dead"),
+        ("a", "m", "q"), ("a", "s", "q")]
