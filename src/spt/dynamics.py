@@ -659,9 +659,6 @@ def _hierarchy_rhs(lv: sparse.csr_matrix, space: HilbertSpace, kappa1: float,
     return rhs
 
 
-_CHUNK = 16   # grid points per reduced block in single_photon_response
-
-
 def single_photon_response(
     params: SystemParams,
     pulse: PulseSpec,
@@ -689,11 +686,11 @@ def single_photon_response(
     not dim^2), and rho_11 only on the (0,0) and (1,1) blocks of the
     excitation number Q (1210 of 4356 at (1,10); ``_hierarchy_support``).
     ``ode.DOP853`` steps only those 1276 of the 2 dim^2 = 8712 entries, as a
-    compact state (its ``_CompactLayout``).  No grid of states is stored: as
-    the solve reaches grid points, their evolved entries fill one block of
-    _CHUNK points, and each block, when full and at the grid's end, is
-    rebuilt into full rho_10 and rho_11 blocks and reduced at once to the
-    output channels by per-time-point einsums.  Three rules
+    compact state (its ``_CompactLayout``).  No grid of states is stored:
+    the points each step reaches are rebuilt into full rho_10 and rho_11
+    blocks and reduced at once, by per-time-point einsums whose bits do not
+    depend on how many points a step hands over, into output channels
+    allocated once for the whole grid.  Three rules
     give the compact state the bits, steps and RHS calls of stepping all
     2 dim^2 entries:
 
@@ -719,7 +716,8 @@ def single_photon_response(
     calls of the hierarchy and absorption solves, wherever the absorption
     ran; ``steps``, the accepted and rejected hierarchy steps; and
     ``top_layer_peak``, the largest rho_11 population of the top n2 layer on
-    the grid.
+    the grid.  Above 1e-3 the truncation is too small for the outputs, and a
+    UserWarning says so.
 
     The absorbed fraction is the probability that the first quantum click is
     not a port-1 photon, computed from the deterministic no-jump evolution
@@ -765,55 +763,42 @@ def single_photon_response(
         rhs = _hierarchy_rhs(lv, space, params.kappa1, pulse, support, layout)
 
         obs = {"n2": n2op, "n1": a1.conj().T @ a1,
+               "top": np.diag(_top_layer_projectors(space)[1]),
                **{f"pop_{level}": space.qutrit_projector(level) for level in ("g", "e", "f")}}
-        top2 = _top_layer_projectors(space)[1]
-        parts = {name: [] for name in ("trace", "a1_rho10", "top", *obs)}
-        final_rho = None
-
-        def reduce(chunk):
-            """Append the observables of the grid points in ``chunk`` (kept
-            entries x points) to ``parts``."""
-            nonlocal final_rho
-            # two blocks, not one of both halves: glibc raises its mmap
-            # threshold to the size of each mapping freed, and one of 2 dim^2
-            # x _CHUNK entries (2.2 MB at (1,10)) would send the gain tail's
-            # LU arrays into a heap fragmented by the steps (peak RSS +2.5 MB)
-            rho10 = np.zeros((nf, chunk.shape[1]), dtype=complex)
-            rho11 = np.zeros((nf, chunk.shape[1]), dtype=complex)
-            rho10[support[0]] = chunk[:len(support[0])]
-            rho11[support[2]] = chunk[len(support[0]):]
-            rho10 = rho10.T.reshape(-1, dim, dim)
-            rho11 = rho11.T.reshape(-1, dim, dim)
-            rho11 = 0.5 * (rho11 + np.conj(np.swapaxes(rho11, 1, 2)))
-            parts["trace"].append(np.einsum("tii->t", rho11).real)
-            parts["a1_rho10"].append(np.einsum("ij,tji->t", a1, rho10))
-            parts["top"].append(np.einsum("tii->ti", rho11).real @ top2)
-            for name, op in obs.items():
-                parts[name].append(np.einsum("ij,tji->t", op, rho11).real)
-            final_rho = rho11[-1].copy()
-
-        block = np.empty((len(keep), _CHUNK), dtype=complex)
+        out = {name: np.empty(len(t_grid)) for name in ("trace", *obs)}
+        out["a1_rho10"] = np.empty(len(t_grid), dtype=complex)
+        last = None
 
         def take(i, ys):
-            """Copy grid points i, i+1, ... into ``block``, and reduce it at
-            each multiple of _CHUNK and at the grid's end."""
-            while ys.shape[1]:
-                k = i % _CHUNK
-                m = min(_CHUNK - k, ys.shape[1])
-                block[:, k:k + m] = ys[:, :m]
-                i, ys = i + m, ys[:, m:]
-                if i % _CHUNK == 0 or i == len(t_grid):
-                    reduce(block[:, :k + m])
+            """Reduce grid points i, i+1, ... into ``out`` at [i:i + points]."""
+            nonlocal last
+            at = slice(i, i + ys.shape[1])
+            rho10 = np.zeros((ys.shape[1], nf), dtype=complex)
+            rho10[:, support[0]] = ys[:len(support[0])].T
+            out["a1_rho10"][at] = np.einsum("ij,tji->t", a1, rho10.reshape(-1, dim, dim))
+            raw = np.zeros((ys.shape[1], nf), dtype=complex)
+            raw[:, support[2]] = ys[len(support[0]):].T
+            raw = raw.reshape(-1, dim, dim)
+            rho11 = np.conj(np.swapaxes(raw, 1, 2), order="C")
+            rho11 += raw
+            rho11 *= 0.5
+            out["trace"][at] = np.einsum("tii->t", rho11).real
+            for name, op in obs.items():
+                out[name][at] = np.einsum("ij,tji->t", op, rho11).real
+            last = rho11[-1]
 
         y0 = np.zeros(2 * nf, dtype=complex)
         y0[nf:] = rho00.reshape(-1)
         nfev, steps = _grid_solve(rhs, t_grid, layout.compact(y0), tol, tol * 1e-4, take,
                                   layout.positions(keep), "single-photon", layout)
-        out = {name: np.concatenate(v) for name, v in parts.items()}
+        final_rho = last.copy()
 
         drift = np.max(np.abs(out["trace"] - 1.0))
         if drift > 1e-3:
             raise RuntimeError(f"single-photon norm bookkeeping drift {drift:.3g} > 1e-3")
+        if out["top"].max() > 1e-3:
+            warnings.warn("top Fock layer population exceeds 1e-3: increase truncation",
+                          stacklevel=2)
 
         xi_t = gaussian_pulse(pulse, t_grid)
         i_in1 = xi_t**2

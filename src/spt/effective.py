@@ -26,7 +26,8 @@ class SingularEliminationError(RuntimeError):
 class UndefinedRateError(ValueError):
     """Raised for a rate that the model leaves undefined at the given
     parameters: Gamma_set at omega = 0, a result taken at kappa1 = Gamma_set
-    when Gamma_set = 0, or a closed form that divides by kappa2 at kappa2 = 0."""
+    when Gamma_set = 0, or a closed form that divides by kappa2 at kappa2 = 0
+    or by a power of A that underflows to 0."""
 
 
 def _require_kappa2(params: SystemParams, form: str) -> None:
@@ -209,10 +210,20 @@ class DarkSteadyRates:
     enhanced_asymptotic: RateResult      # g2^2 om^4 / (32 A^4 kappa2)
 
 
+def _a_power(params: SystemParams, n: int, form: str) -> float:
+    """A^n for ``form``, which divides by it; UndefinedRateError where it
+    underflows to 0 (A below about 1e-81 for n = 4)."""
+    a_n = params.anharmonicity**n
+    if a_n == 0:
+        raise UndefinedRateError(f"{form} divides by A^{n}, which underflows to 0 "
+                                 f"at A = {params.anharmonicity:g}")
+    return a_n
+
+
 def dark_asymptotic_single(params: SystemParams) -> float:
-    a = params.anharmonicity
-    _require_kappa2(params, "the asymptotic single dark-count rate")
-    return params.g2**2 * params.omega**2 / (4 * a**2 * params.kappa2)
+    form = "the asymptotic single dark-count rate"
+    _require_kappa2(params, form)
+    return params.g2**2 * params.omega**2 / (4 * _a_power(params, 2, form) * params.kappa2)
 
 
 def dark_asymptotic_single_main(params: SystemParams) -> float:
@@ -222,9 +233,9 @@ def dark_asymptotic_single_main(params: SystemParams) -> float:
 
 
 def dark_asymptotic_enhanced(params: SystemParams) -> float:
-    a = params.anharmonicity
-    _require_kappa2(params, "the asymptotic enhanced dark-count rate")
-    return params.g2**2 * params.omega**4 / (32 * a**4 * params.kappa2)
+    form = "the asymptotic enhanced dark-count rate"
+    _require_kappa2(params, form)
+    return params.g2**2 * params.omega**4 / (32 * _a_power(params, 4, form) * params.kappa2)
 
 
 def dark_rates_steady(params: SystemParams) -> DarkSteadyRates:

@@ -467,6 +467,15 @@ class TestExperiments:
         (["gain", "--units", "mhz", "--g2-mhz", "nan", "--n2", "3"],
          "--units mhz requires --g2-mhz, finite and > 0, got nan"),
         (["gain", "--anharmonicity", "nan", "--n2", "3"], "anharmonicity must not be nan"),
+        # the closed forms' powers of A underflow to 0 below about 1e-81 (A^4)
+        *[(argv, "the asymptotic enhanced dark-count rate divides by A^4, which underflows "
+                 "to 0 at A = 1e-100") for argv in (
+            ["dark-counts", "--anharmonicity", "1e-100", "--t-end", "10"],
+            ["dark-counts", "--anharmonicity", "40", "--a-grid", "1e-100:40:2",
+             "--t-end", "10"])],
+        (["dark-counts", "--anharmonicity", "1e-200", "--t-end", "10"],
+         "the asymptotic single dark-count rate divides by A^2, which underflows to 0 "
+         "at A = 1e-200"),
     ])
     def test_bad_parameter_value_is_config_error(self, argv, message, capsys):
         # values that pass the flag checks and fail those of the parameter

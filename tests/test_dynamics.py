@@ -6,6 +6,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -488,6 +489,19 @@ class TestSinglePhoton:
         with pytest.warns(UserWarning, match="pulse shorter"):
             single_photon_response(p, pulse, np.linspace(0, 80, 101), spec=HilbertSpec(1, 1))
 
+    def test_truncation_warns(self):
+        # the top n2 layer peaks at 0.034 at (1,2), too much for converged
+        # outputs, and at 7e-11 at (1,10)
+        p, pulse = TestKeptEntries.p, TestKeptEntries.pulse
+        grid = np.linspace(0.0, 9.0 * pulse.tau, 60)
+        with pytest.warns(UserWarning, match="top Fock layer population exceeds 1e-3"):
+            res = single_photon_response(p, pulse, grid, spec=HilbertSpec(1, 2), tol=1e-7)
+        assert res.top_layer_peak > 1e-3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = single_photon_response(p, pulse, grid, spec=HilbertSpec(1, 10), tol=1e-7)
+        assert res.top_layer_peak < 1e-9
+
 
 def _full_block_rhs(lv, space, kappa1, pulse, _support=None):
     """Oracle: the hierarchy right-hand side on the whole rho_10 block.
@@ -661,7 +675,7 @@ def _reference_response(params, pulse, t_grid, spec, decoherence, tol, rhs=_full
         series=TimeSeries(times=t_grid, channels=channels),
         absorbed_fraction=absorbed, gain=gain, n_out1=float(np.trapezoid(i_out1, t_grid)),
         final_rho=rho11_t[-1], rhs_evals=sol.nfev + absorption_evals,
-        top_layer_peak=float((np.einsum("tii->ti", rho11_t).real @ top2).max()))
+        top_layer_peak=float(np.einsum("ij,tji->t", np.diag(top2), rho11_t).real.max()))
     return res, sol.y
 
 
@@ -715,7 +729,7 @@ class TestKeptEntries:
         (HilbertSpec(2, 3), None, 60),
         (HilbertSpec(1, 10), None, 61),
         (HilbertSpec(1, 4), None, 2),                  # the two-point grid
-        (HilbertSpec(1, 4), None, 17),                 # one point past a whole chunk
+        (HilbertSpec(1, 4), None, 17),                 # one point past 16
     ])
     def test_bitwise_equal_to_full_grid_oracle(self, spec, dec, points):
         self.check_bits(spec, dec, points)
@@ -757,20 +771,21 @@ class TestKeptEntries:
         finally:
             tracemalloc.stop()
         # the full-grid route peaked at 164.5 MiB here: two 84 MB copies of the full states
-        assert peak <= 30 * 2**20, f"{peak / 2**20:.1f} MiB"
+        # reducing 16-point blocks through full-size buffers peaked at 6.3 MiB
+        assert peak <= 5 * 2**20, f"{peak / 2**20:.1f} MiB"
         assert res.final_rho.base is None
 
 
 def _stored_response(params, pulse, t_grid, spec, decoherence, tol):
     """Oracle: ``single_photon_response`` as it was before it reduced the grid
     as the solve reached it: the same compact solve, its kept entries stored
-    for the whole grid, then reduced _CHUNK points at a time, the absorption
+    for the whole grid, then reduced 16 points at a time, the absorption
     solved in this process.  Returns a SinglePhotonResult."""
     space = build_space(spec)
     h = hamiltonian_ideal(params, space)
     cols = collapse_set(params, decoherence, space)
     lv = liouvillian(h, cols)
-    dim, nf, chunk_len = space.dim, space.dim ** 2, spt.dynamics._CHUNK
+    dim, nf, chunk_len = space.dim, space.dim ** 2, 16
     a1 = space.annihilation("cavity1")
     a2 = space.annihilation("cavity2")
     n2op = a2.conj().T @ a2
@@ -797,7 +812,7 @@ def _stored_response(params, pulse, t_grid, spec, decoherence, tol):
         rho11 = 0.5 * (rho11 + np.conj(np.swapaxes(rho11, 1, 2)))
         parts["trace"].append(np.einsum("tii->t", rho11).real)
         parts["a1_rho10"].append(np.einsum("ij,tji->t", a1, rho10))
-        parts["top"].append(np.einsum("tii->ti", rho11).real @ top2)
+        parts["top"].append(np.einsum("ij,tji->t", np.diag(top2), rho11).real)
         for name, op in obs.items():
             parts[name].append(np.einsum("ij,tji->t", op, rho11).real)
     out = {name: np.concatenate(v) for name, v in parts.items()}
@@ -823,8 +838,8 @@ def _stored_response(params, pulse, t_grid, spec, decoherence, tol):
 
 
 class TestStreamedReduction:
-    """single_photon_response reduces each block of _CHUNK grid points as the
-    solve reaches it and stores no grid of states; every output must be bit
+    """single_photon_response reduces the grid points of each step as the
+    solve reaches them and stores no grid of states; every output must be bit
     for bit the store-then-reduce route's, and its memory must not grow with
     the grid."""
 
@@ -840,8 +855,8 @@ class TestStreamedReduction:
 
     @pytest.mark.parametrize("n2, points", [
         (10, 600),    # the benchmark's call
-        (4, 37),      # not a multiple of _CHUNK: a short last block
-        (4, 3000),    # dense: single steps reach points on both sides of a block's end
+        (4, 37),      # not a multiple of the oracle's 16-point block
+        (4, 3000),    # dense: single steps hand over several points
     ])
     def test_bitwise_equal_to_stored_grid_oracle(self, n2, points, monkeypatch):
         params, pulse, grid = self.cli_point(n2, points)
@@ -860,11 +875,9 @@ class TestStreamedReduction:
         _assert_same_bits(res, ref)
         assert res.steps == ref.steps and res.steps[0] > 0
         assert res.gain > 1.0 and res.absorbed_fraction > 0.9   # a non-trivial run
-        chunk = spt.dynamics._CHUNK
-        across = [(i, n) for i, n in spans if i // chunk != (i + n - 1) // chunk]
         assert sum(n for _, n in spans) == points
         if points == 3000:
-            assert len(across) > 10
+            assert sum(n > 1 for _, n in spans) > 10
 
     def test_peak_memory_flat_in_grid_length(self):
         # the stored grid grew the peak by kept x 16 B a point: 5.6 -> 28.1 MiB here
