@@ -26,8 +26,8 @@ class SingularEliminationError(RuntimeError):
 class UndefinedRateError(ValueError):
     """Raised for a rate that the model leaves undefined at the given
     parameters: Gamma_set at omega = 0, a result taken at kappa1 = Gamma_set
-    when Gamma_set = 0, or a closed form that divides by kappa2 at kappa2 = 0
-    or by a power of A that underflows to 0."""
+    when Gamma_set = 0, a closed form that divides by kappa2 at kappa2 = 0
+    or by a power of A that underflows to 0, or a rate that is not finite."""
 
 
 def _require_kappa2(params: SystemParams, form: str) -> None:
@@ -42,6 +42,8 @@ class RateResult:
     convergence_delta: float = math.nan   # value minus the value at truncation - 1
 
     def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise UndefinedRateError(f"rate must be finite, got {self.value}")
         if self.value < 0:
             raise ValueError(f"rate must be >= 0, got {self.value}")
 

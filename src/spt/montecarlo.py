@@ -99,8 +99,6 @@ class EigenPropagator:
                * np.linalg.norm(np.eye(self.dim) - self.evecs @ self.inv, 2))
         self._margin = (_MARGIN_SAFETY * 2 * (self.dim + 4) * rounding,
                         _MARGIN_SAFETY * 2 * (np.abs(self.evals).max() * rounding + eta))
-        # third_derivative's rounding, relative to the squared norm
-        self._jerk_rounding = _MARGIN_SAFETY * 8 * np.abs(self.evals).max() ** 3 * rounding
         self._rot = -1j * self.evals    # each eigencomponent's rate, d z_k / dt = -i lambda_k z_k
 
     # the jump loop writes its matrix-vector products M.dot(x): the same BLAS
@@ -127,18 +125,6 @@ class EigenPropagator:
             return z0, self._rot, self.gram
         # rows, then columns: one gather through np.ix_ costs more than both
         return z0[keep], self._rot[keep], self.gram.take(keep, 0).take(keep, 1)
-
-    def third_derivative(self, z0: np.ndarray) -> float:
-        """d^3/dt^3 ||psi||^2 at 0, from two Gram-matrix products:
-        2 Re[(G w0)^dag w3] + 6 Re[(G w1)^dag w2], w_k = (-i lambda)^k z0;
-        0.0 when it is within its rounding bound of 0."""
-        g0 = self.gram @ z0
-        w1 = self._rot * z0
-        w2 = self._rot * w1
-        jerk = 2.0 * float(np.vdot(g0, self._rot * w2).real
-                           + 3.0 * np.vdot(self.gram @ w1, w2).real)
-        scale = float(np.vdot(z0, g0).real)
-        return jerk if abs(jerk) > self._jerk_rounding * scale else 0.0
 
     def margin(self, span: float) -> float:
         """Twice the most by which norm_sq on [0, span], relative to the squared
@@ -254,8 +240,7 @@ def _jump_time(prop: EigenPropagator, z0: np.ndarray, span: float, u: float,
     norm_sq(c) < u - prop.margin(span) at a far point c >= b.  The exact norm
     never rises, so a midpoint outside the window decides as a call would.
     Newton only places the window, so it runs on the live eigencomponents
-    alone (``prop.live``), and its first step from a flat start, taken from the
-    third derivative of the norm, changes the step count and no bit.
+    alone (``prop.live``).
     """
     norm_evals = newton_steps = 0
 
@@ -284,13 +269,6 @@ def _jump_time(prop: EigenPropagator, z0: np.ndarray, span: float, u: float,
                 <= n0 * prop.margin(s) / 4 * abs(s - s_prev)):
             root = nxt
             break
-        if s == 0.0 and not lo < nxt < hi:
-            # a flat start, as from |e,0,0> or |g,0,0>, would only bisect.  Every
-            # collapse operator annihilates such a state, so n'(0) = n''(0) = 0 and
-            # log(n / u) ~ log_ratio + n'''(0) s^3 / (6 n): step to that root
-            jerk = prop.third_derivative(z0)
-            if jerk < 0:
-                nxt = (6.0 * n * log_ratio / -jerk) ** (1.0 / 3.0)
         s_prev, dn_prev = s, dn
         s = nxt if lo < nxt < hi else 0.5 * (lo + hi)
     a, b = -math.inf, math.inf
@@ -496,8 +474,7 @@ def _map_ensemble(fn, h_nh, collapses, init, duration, n_traj, base_seed, pulse,
     once, here in the calling process, so a bad input raises here.  The
     trajectories then run in this process, or, from 8 trajectories on, over
     ``fork_map``'s pool of ``pool_workers(threads)`` workers that inherit
-    ``run``; results come back in index order.  A path bound for the pool is
-    first stepped as far as any trajectory will ask.
+    ``run``; results come back in index order.
     """
     if n_traj < 1 or not (math.isfinite(duration) and duration > 0):
         raise ValueError("an ensemble needs n_traj >= 1 and a finite duration > 0, "
@@ -508,12 +485,6 @@ def _map_ensemble(fn, h_nh, collapses, init, duration, n_traj, base_seed, pulse,
     pulse_path = None
     if isinstance(init, str) and init == "single-photon-input":
         pulse_path = PulsePath(h_nh, collapses, space, pulse, 0.0, duration)
-        if workers > 1:
-            # step as far as the ensemble's smallest first threshold (the first
-            # draw of each trajectory's stream, on the norm at 0) crosses, so the
-            # workers replay these steps instead of each stepping a copy
-            first = min(trajectory_rng(base_seed, i).random() for i in range(n_traj))
-            pulse_path.crossing(first * pulse_path._norms[0])
     prop = EigenPropagator(h_nh)
 
     def run(index: int, on_jump=None) -> Trajectory:
@@ -616,10 +587,6 @@ class DarkRateEstimate:
     excited_dwell_time: float
     single_is_upper_bound: bool = False
     enhanced_is_upper_bound: bool = False
-
-    @property
-    def dwell_fraction(self) -> float:
-        return self.excited_dwell_time / self.total_time if self.total_time else math.nan
 
 
 _DARK_SPEC = HilbertSpec(1, 2)   # the truncation of both dark-count routes

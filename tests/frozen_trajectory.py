@@ -5,8 +5,8 @@ written out (-1j * evals * dt, M @ x), Newton on every eigencomponent with the
 whole Gram matrix, the search's counters bumped as they happen, and the jump
 channel drawn by Generator.choice.  The library loop must give its jump records
 and final norms bit for bit.  It shares with the library only what those trims
-left alone: ``PulsePath``, ``EigenPropagator``'s matrices, ``margin`` and
-``third_derivative`` (which only moves Newton), and the input parsing.
+left alone: ``PulsePath``, ``EigenPropagator``'s matrices and ``margin``, and
+the input parsing.
 """
 
 import math
@@ -52,10 +52,6 @@ def _jump_time(prop, z0, span, u, stats):
                 and abs(dn - dn_prev) * (nxt - s)**2 <= n0 * prop.margin(s) / 4 * abs(s - s_prev)):
             root = nxt
             break
-        if s == 0.0 and not lo < nxt < hi:
-            jerk = prop.third_derivative(z0)
-            if jerk < 0:
-                nxt = (6.0 * n * log_ratio / -jerk) ** (1.0 / 3.0)
         s_prev, dn_prev = s, dn
         s = nxt if lo < nxt < hi else 0.5 * (lo + hi)
     a, b = -math.inf, math.inf

@@ -476,6 +476,9 @@ class TestExperiments:
         (["dark-counts", "--anharmonicity", "1e-200", "--t-end", "10"],
          "the asymptotic single dark-count rate divides by A^2, which underflows to 0 "
          "at A = 1e-200"),
+        # above that, 32 A^4 kappa2 is subnormal and the enhanced rate overflows
+        (["dark-counts", "--anharmonicity", "1e-79", "--t-end", "10"],
+         "rate must be finite, got inf"),
     ])
     def test_bad_parameter_value_is_config_error(self, argv, message, capsys):
         # values that pass the flag checks and fail those of the parameter

@@ -135,10 +135,10 @@ def _ideal(spec, g1=0.25):
     return space, cols, nonhermitian(hamiltonian_ideal(p, space), cols)
 
 
-def _finite_a(anharmonicity=40.0):
+def _finite_a(anharmonicity=40.0, spec=HilbertSpec(1, 2)):
     p0 = SystemParams(g1=0.2, g2=1, omega=2, kappa2=0.1, anharmonicity=anharmonicity)
     p = p0.replace(kappa1=setting_rate(p0, 10).value)
-    space = build_space(HilbertSpec(1, 2))
+    space = build_space(spec)
     cols = collapse_set(p, None, space, split=True)
     return space, cols, nonhermitian(hamiltonian_finite_A(p, space), cols)
 
@@ -163,6 +163,8 @@ _SEARCH_CASES = {
     "custom": lambda: (*_custom_state(), 300.0, 12, None),
     "pulse-input": _pulse_input,
     "dark-finite-A": lambda: (*_finite_a(), "g,0,0", 10000.0, 8, None),
+    # a flat |g,0,0> start under a large detuned |lambda|: the widest windows
+    "dark-large-A": lambda: (*_finite_a(100.0, HilbertSpec(2, 2)), "g,0,0", 40000.0, 32, None),
 }
 
 
@@ -208,33 +210,6 @@ class TestJumpTimeSearch:
         assert sum(t.norm_evals for t in forced) >= sum(t.norm_evals for t in oracle)
         searches = sum(len(t.jumps) for t in forced)
         assert sum(t.search_fallbacks for t in forced) == (searches if patch == "no-newton" else 0)
-
-    def test_flat_start_takes_fewer_newton_steps(self, monkeypatch):
-        # from |e,0,0> the norm starts flat (n' = n'' = 0), so Newton's first
-        # step is undefined; the third-order start replaces the halvings of
-        # [0, span] that would follow, and the certified window keeps every bit
-        space, cols, h_nh, init, duration, _, pulse = _SEARCH_CASES["e00"]()
-        case = (space, cols, h_nh, init, duration, 100, pulse)
-        fast = self._ensemble(case, 11)
-        with monkeypatch.context() as m:
-            m.setattr(EigenPropagator, "third_derivative", lambda self, z0: 0.0)
-            halving = self._ensemble(case, 11)
-        assert [t.jumps for t in fast] == [t.jumps for t in halving]
-        assert sum(t.search_fallbacks for t in fast) == 0
-        saved = sum(t.newton_steps for t in halving) - sum(t.newton_steps for t in fast)
-        assert saved >= 4 * 100, saved      # 12-14 steps a flat search before, 7 now
-
-    def test_third_derivative(self):
-        space, _, h_nh = _ideal(HilbertSpec(1, 4))
-        prop = EigenPropagator(h_nh)
-        h = 2e-3
-        for psi in (space.basis_state("e", 0, 0), space.basis_state("g", 1, 0)):
-            z0 = prop.coeffs(psi)
-            n = {k: prop.norm_sq(z0, k * h) for k in (-2, -1, 1, 2)}
-            central = (n[2] - 2 * n[1] + 2 * n[-1] - n[-2]) / (2 * h**3)
-            assert prop.third_derivative(z0) == pytest.approx(central, rel=1e-3)
-        # |g,0,0> is dark: every derivative is 0, and rounding is reported as 0
-        assert prop.third_derivative(prop.coeffs(space.basis_state("g", 0, 0))) == 0.0
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("name", sorted(_SEARCH_CASES))
@@ -410,34 +385,6 @@ class TestPulsePath:
         # a caller without an ensemble gets a path of its own
         run_trajectory(h_nh, cols, init, duration, (9, 0), pulse=pulse, space=space)
         assert built == [0.0, 0.0]
-
-    def test_pool_workers_replay_the_callers_steps(self, monkeypatch):
-        space, cols, h_nh, init, duration, n_traj, pulse = _pulse_input()
-        ctx, caller = multiprocessing.get_context("fork"), os.getpid()
-        steps = {"caller": ctx.Value("i", 0), "workers": ctx.Value("i", 0)}
-
-        class CountedDOP853(spt.ode.DOP853):
-            def step(self):
-                count = steps["caller" if os.getpid() == caller else "workers"]
-                with count.get_lock():
-                    count.value += 1
-                return super().step()
-
-        monkeypatch.setattr(spt.ode, "DOP853", CountedDOP853)
-        runs = {}
-        for threads in (1, 2):
-            for count in steps.values():
-                count.value = 0
-            runs[threads] = (run_ensemble(h_nh, cols, init, duration, n_traj, 17, pulse=pulse,
-                                          space=space, threads=threads),
-                             steps["caller"].value, steps["workers"].value)
-        (serial, serial_steps, _), (pooled, pooled_steps, worker_steps) = runs[1], runs[2]
-        assert [t.jumps for t in pooled] == [t.jumps for t in serial]
-        assert ([t.final_norm_accounting for t in pooled]
-                == [t.final_norm_accounting for t in serial])
-        # over the pool the caller takes the steps a serial run takes, as far as
-        # the smallest threshold reaches, and no worker steps at all
-        assert worker_steps == 0 and pooled_steps == serial_steps > 0
 
     def test_path_over_another_interval_is_refused(self):
         space, cols, h_nh, init, duration, _, pulse = _pulse_input()
@@ -644,7 +591,7 @@ class TestDarkCounts:
         # the 7-state inversion is the second-order estimate; it sits ~13% low here
         inv = dark_rates_steady(p).single.value
         assert est.single_rate == pytest.approx(inv, rel=0.25)
-        assert est.dwell_fraction < 0.2
+        assert est.excited_dwell_time / est.total_time < 0.2
 
     def test_one_pass_tally_matches_replay(self):
         # the former route: rerun each trajectory, then walk its jump record again
