@@ -474,7 +474,8 @@ def _map_ensemble(fn, h_nh, collapses, init, duration, n_traj, base_seed, pulse,
     once, here in the calling process, so a bad input raises here.  The
     trajectories then run in this process, or, from 8 trajectories on, over
     ``fork_map``'s pool of ``pool_workers(threads)`` workers that inherit
-    ``run``; results come back in index order.
+    ``run``; results come back in index order.  A path bound for the pool is
+    first stepped as far as any trajectory will ask.
     """
     if n_traj < 1 or not (math.isfinite(duration) and duration > 0):
         raise ValueError("an ensemble needs n_traj >= 1 and a finite duration > 0, "
@@ -485,6 +486,11 @@ def _map_ensemble(fn, h_nh, collapses, init, duration, n_traj, base_seed, pulse,
     pulse_path = None
     if isinstance(init, str) and init == "single-photon-input":
         pulse_path = PulsePath(h_nh, collapses, space, pulse, 0.0, duration)
+        if workers > 1:
+            # step as far as the smallest first threshold (each trajectory's first
+            # draw, on the norm at 0) crosses: the workers replay these steps
+            first = min(trajectory_rng(base_seed, i).random() for i in range(n_traj))
+            pulse_path.crossing(first * pulse.remaining_norm(0.0))
     prop = EigenPropagator(h_nh)
 
     def run(index: int, on_jump=None) -> Trajectory:

@@ -386,6 +386,34 @@ class TestPulsePath:
         run_trajectory(h_nh, cols, init, duration, (9, 0), pulse=pulse, space=space)
         assert built == [0.0, 0.0]
 
+    def test_pool_workers_replay_the_callers_steps(self, monkeypatch):
+        space, cols, h_nh, init, duration, n_traj, pulse = _pulse_input()
+        ctx, caller = multiprocessing.get_context("fork"), os.getpid()
+        steps = {"caller": ctx.Value("i", 0), "workers": ctx.Value("i", 0)}
+
+        class CountedDOP853(spt.ode.DOP853):
+            def step(self):
+                count = steps["caller" if os.getpid() == caller else "workers"]
+                with count.get_lock():
+                    count.value += 1
+                return super().step()
+
+        monkeypatch.setattr(spt.ode, "DOP853", CountedDOP853)
+        runs = {}
+        for threads in (1, 2):
+            for count in steps.values():
+                count.value = 0
+            runs[threads] = (run_ensemble(h_nh, cols, init, duration, n_traj, 17, pulse=pulse,
+                                          space=space, threads=threads),
+                             steps["caller"].value, steps["workers"].value)
+        (serial, serial_steps, _), (pooled, pooled_steps, worker_steps) = runs[1], runs[2]
+        assert [t.jumps for t in pooled] == [t.jumps for t in serial]
+        assert ([t.final_norm_accounting for t in pooled]
+                == [t.final_norm_accounting for t in serial])
+        # over the pool the caller takes the steps a serial run takes, as far as
+        # the smallest threshold reaches, and no worker steps at all
+        assert worker_steps == 0 and pooled_steps == serial_steps > 0
+
     def test_path_over_another_interval_is_refused(self):
         space, cols, h_nh, init, duration, _, pulse = _pulse_input()
         path = mc.PulsePath(h_nh, cols, space, pulse, 0.0, duration)
