@@ -36,8 +36,13 @@ class DetectionParams:
             raise ValueError("zeta must be >= 0")
         if self.signal_model not in ("exponential", "empirical_histogram"):
             raise ValueError(f"unknown signal model {self.signal_model!r}")
-        if self.signal_model == "empirical_histogram" and not self.histogram:
-            raise ValueError("empirical model requires a histogram")
+        if self.signal_model == "empirical_histogram":
+            if not self.histogram:
+                raise ValueError("empirical model requires a histogram")
+            freqs = list(self.histogram.values())
+            if not (all(math.isfinite(f) and f >= 0 for f in freqs) and sum(freqs) > 0):
+                raise ValueError("histogram frequencies must be finite and >= 0 with a "
+                                 f"positive total, got {self.histogram}")
 
 
 @dataclass

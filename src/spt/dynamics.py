@@ -314,35 +314,23 @@ def steady_state(lv: sparse.csr_matrix, dim: int) -> np.ndarray:
     return TraceFixedSolver(lv, dim).steady_state()
 
 
-def _support(lv: sparse.csr_matrix, seeds: np.ndarray) -> np.ndarray:
-    """Sorted indices reachable from the boolean ``seeds`` in the sparsity
-    graph of ``lv`` (j -> i where lv[i, j] is stored), in any sparse format."""
-    lv = sparse.csr_matrix(lv)
-    pattern = sparse.csr_matrix((np.ones(lv.nnz), lv.indices, lv.indptr), shape=lv.shape)
-    reach = seeds.copy()
-    while True:
-        grown = reach | (pattern @ reach.astype(float) > 0)
-        if np.array_equal(grown, reach):
-            return np.flatnonzero(reach)
-        reach = grown
-
-
 def integrated_observable(
     lv: sparse.csr_matrix,
     rho0: np.ndarray,
     rho_inf: np.ndarray,
     observable: np.ndarray,
+    keep: np.ndarray,
 ) -> float:
     """Exact integral_0^inf tr[O (rho(t) - rho_inf)] dt by a resolvent solve.
 
     Solves L X = rho_inf - rho0 with tr X = 0; requires zero to be a simple
-    eigenvalue of L (unique steady state).  It factors L only on the entries
-    that rho0, rho_inf and entry 0 reach (``_support``), where X lives: 1210
-    of 4356 for the pulse tail at (1,10).
+    eigenvalue of L (unique steady state).  It factors L only on ``keep``,
+    sorted vec indices holding entry 0, closed under L's sparsity graph and
+    holding rho0 and rho_inf (``TraceFixedSolver``): for the pulse tail the
+    (0,0) and (1,1) blocks of the excitation number Q (``_hierarchy_support``),
+    1210 of 4356 at (1,10).
     """
-    seeds = ((rho0 != 0) | (rho_inf != 0)).reshape(-1)
-    seeds[0] = True
-    x = TraceFixedSolver(lv, rho0.shape[0], _support(lv, seeds)).resolvent(rho_inf - rho0)
+    x = TraceFixedSolver(lv, rho0.shape[0], keep).resolvent(rho_inf - rho0)
     return _expectation(observable, x)
 
 
@@ -809,7 +797,7 @@ def single_photon_response(
         i_out1 = np.clip(i_out1, 0.0, None)
 
         gain_grid = float(np.trapezoid(i_out2, t_grid))
-        gain_tail = params.kappa2 * integrated_observable(lv, final_rho, rho00, n2op)
+        gain_tail = params.kappa2 * integrated_observable(lv, final_rho, rho00, n2op, support[2])
         absorbed, absorption_evals = collect_absorption()
 
     series = TimeSeries(

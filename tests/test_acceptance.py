@@ -20,7 +20,7 @@ from scipy import stats as sps
 
 from dressed_closed_forms import dressed_basis, restrict
 from spt.detection import DetectionParams, detection_performance, sample_observable
-from spt.dynamics import PulseSpec, gain_and_bandwidth, reflection_sweep, single_photon_response
+from spt.dynamics import gain_and_bandwidth, reflection_sweep
 from spt.effective import (dark_asymptotic_enhanced, dark_rates_steady,
                            reflection_analytic, setting_rate, setting_rate_analytic)
 from spt.hilbert import HilbertSpec, build_space
@@ -156,14 +156,9 @@ def test_criterion_3_impedance_matching_dip():
     assert off_dev < 0.05
 
 
-def test_criterion_4_single_photon_absorption():
+def test_criterion_4_single_photon_absorption(criterion_4_response):
     p0 = SystemParams(g1=0.05, g2=1, omega=2, kappa2=1)
-    gamma_set = setting_rate(p0, 10).value
-    p = p0.replace(kappa1=gamma_set)
-    tau = 6.0 / gamma_set
-    pulse = PulseSpec.from_tau(tau=tau, center_time=4.5 * tau)
-    grid = np.linspace(0.0, 9.0 * tau, 1400)
-    res = single_photon_response(p, pulse, grid, spec=HilbertSpec(1, 10), tol=1e-7)
+    _, res = criterion_4_response   # p0 at kappa1 = Gamma_set, a tau kappa1 = 6 pulse on (1,10)
     gain_e00 = gain_and_bandwidth(p0, n2_trunc=10).gain
     ratio = res.gain / gain_e00
     ok = res.absorbed_fraction >= 0.99 and abs(ratio - 1.0) < 0.02

@@ -40,12 +40,17 @@ def calls(monkeypatch):
 
 
 _PULSE = ["pulse-response", "--g1", "0.25", "--tau-kappa1", "5", "--points", "40",
-          "--n2", "3", "--tol", "1e-6", "--seed", "4"]
+          "--n2", "3", "--tol", "1e-6", "--seed", "4"]   # N2 = 3 fills the top layer
+
+
+def _pulse_main(args):
+    with pytest.warns(UserWarning, match="top Fock layer"):
+        return main(_PULSE + args)
 
 
 def test_pulse_response_file_and_stdout(tmp_path, capsys, calls):
     out, oracle = tmp_path / "wave.csv", tmp_path / "oracle.csv"
-    assert main(_PULSE + ["-o", str(out)]) == 0
+    assert _pulse_main(["-o", str(out)]) == 0
     series = calls["single_photon_response"].series
     metadata = calls["csv"][0]
     assert list(metadata)[:2] == ["version", "seed"]   # parameter order, not sorted
@@ -53,7 +58,7 @@ def test_pulse_response_file_and_stdout(tmp_path, capsys, calls):
     assert out.read_bytes() == oracle.read_bytes()
 
     capsys.readouterr()
-    assert main(_PULSE + ["-o", "-"]) == 0
+    assert _pulse_main(["-o", "-"]) == 0
     assert capsys.readouterr().out.encode() == oracle.read_bytes()
 
 

@@ -212,9 +212,11 @@ class TestExperiments:
     def test_pulse_response_stdout_equals_file(self, tmp_path, capsys):
         args = ["pulse-response", "--g1", "0.25", "--points", "5", "--n2", "3"]
         out = tmp_path / "wave.csv"
-        assert main(args + ["-o", str(out)]) == 0
+        with pytest.warns(UserWarning, match="top Fock layer"):   # N2 = 3 fills the top layer
+            assert main(args + ["-o", str(out)]) == 0
         capsys.readouterr()
-        assert main(args + ["-o", "-"]) == 0
+        with pytest.warns(UserWarning, match="top Fock layer"):
+            assert main(args + ["-o", "-"]) == 0
         assert capsys.readouterr().out.encode() == out.read_bytes()
 
     def test_dark_counts_sweep(self, tmp_path):

@@ -85,6 +85,13 @@ class TestPerformance:
         with pytest.raises(ValueError):
             DetectionPerformance(efficiency=1.2, dark_probability=0.0)
 
+    @pytest.mark.parametrize("hist", [{5: 0}, {5: -1, 2: 1}, {5: math.nan}])
+    def test_histogram_without_positive_finite_weight_is_refused(self, hist):
+        # detection_performance divided by a zero total; a nan one failed as an efficiency
+        with pytest.raises(ValueError, match="histogram frequencies must be finite"):
+            DetectionParams(gain=1, modes=9, zeta=2, signal_model="empirical_histogram",
+                            histogram=hist)
+
     @pytest.mark.parametrize("name", ["gain", "zeta"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_value_is_refused(self, name, value):

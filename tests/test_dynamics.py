@@ -1,3 +1,4 @@
+import contextlib
 import math
 import multiprocessing
 import os
@@ -18,6 +19,7 @@ from scipy.integrate import DOP853, solve_ivp
 
 import spt.dynamics
 import spt.ode
+from graph_reach import reach, tail_keep
 from spt.hilbert import HilbertSpec, build_space
 from spt.model import (DecoherenceParams, SystemParams, collapse_set, hamiltonian_ideal,
                        nonhermitian)
@@ -390,6 +392,15 @@ class TestReflectionSweep:
         assert (f"pid {os.getpid()}" in str(exc.value)) == (threads == 1)
 
 
+def _top_layer_warns(spec):
+    """The truncation warning that the tests' tau kappa1 = 6 pulse at g1 = 0.3,
+    kappa1 = 0.18 raises where its top n2 layer passes 1e-3, at N2 <= 3 (0.034
+    at (1,2)); a null context at larger N2."""
+    if spec.n2_max <= 3:
+        return pytest.warns(UserWarning, match="top Fock layer")
+    return contextlib.nullcontext()
+
+
 class TestSinglePhoton:
     def test_empty_cavity_oracle(self):
         # no qutrit coupling: cavity amplitude follows the exact single-excitation ODE
@@ -466,8 +477,9 @@ class TestSinglePhoton:
         peaks = []
         for n2 in (2, 4):
             calls.update(hierarchy=0, absorption=0)
-            res = single_photon_response(p, pulse, np.linspace(0.0, 9.0 * tau, 40),
-                                         spec=HilbertSpec(1, n2), tol=1e-7)
+            with _top_layer_warns(HilbertSpec(1, n2)):
+                res = single_photon_response(p, pulse, np.linspace(0.0, 9.0 * tau, 40),
+                                             spec=HilbertSpec(1, n2), tol=1e-7)
             assert res.rhs_evals == calls["hierarchy"] + calls["absorption"]
             assert calls["hierarchy"] > 0 and calls["absorption"] > 0
             # DOP853: 2 start-up calls, 12 a try, 3 more per dense output (at most one a step)
@@ -486,7 +498,8 @@ class TestSinglePhoton:
     def test_short_pulse_warns(self):
         p = SystemParams(g1=0.05, g2=1, omega=2, kappa1=0.01, kappa2=1)
         pulse = PulseSpec.from_tau(tau=10.0, center_time=40.0)
-        with pytest.warns(UserWarning, match="pulse shorter"):
+        with (pytest.warns(UserWarning, match="top Fock layer"),
+              pytest.warns(UserWarning, match="pulse shorter")):
             single_photon_response(p, pulse, np.linspace(0, 80, 101), spec=HilbertSpec(1, 1))
 
     def test_truncation_warns(self):
@@ -542,7 +555,8 @@ class TestHierarchyColumn:
         tau = 6.0 / p.kappa1
         pulse = PulseSpec.from_tau(tau=tau, center_time=4.5 * tau)
         grid = np.linspace(0.0, 9.0 * tau, 60)
-        res = single_photon_response(p, pulse, grid, spec=spec, decoherence=dec, tol=1e-7)
+        with _top_layer_warns(spec):
+            res = single_photon_response(p, pulse, grid, spec=spec, decoherence=dec, tol=1e-7)
         ref, _ = _reference_response(p, pulse, grid, spec, dec, 1e-7, rhs=_full_block_rhs)
         _assert_same_bits(res, ref)
         assert res.gain > 1.0 and res.absorbed_fraction > 0.9   # a non-trivial run
@@ -668,7 +682,8 @@ def _reference_response(params, pulse, t_grid, spec, decoherence, tol, rhs=_full
         nonhermitian(h, cols), cols["kappa1"], np.sqrt(params.kappa1),
         space.basis_state("g", 0, 0), space.index("g", 1, 0),
         pulse, (t_grid[0], t_grid[-1]), max(tol, 1e-9))
-    tail = params.kappa2 * spt.dynamics.integrated_observable(lv, rho11_t[-1], rho00, n2op)
+    tail = params.kappa2 * spt.dynamics.integrated_observable(
+        lv, rho11_t[-1], rho00, n2op, spt.dynamics._hierarchy_support(space)[2])
     gain = float(np.trapezoid(i_out2, t_grid)) + tail
     top2 = spt.dynamics._top_layer_projectors(space)[1]
     res = SinglePhotonResult(
@@ -715,8 +730,9 @@ class TestKeptEntries:
 
     def check_bits(self, spec, dec, points):
         grid = np.linspace(0.0, 9.0 * self.pulse.tau, points)
-        res = single_photon_response(self.p, self.pulse, grid, spec=spec, decoherence=dec,
-                                     tol=1e-7)
+        with _top_layer_warns(spec):
+            res = single_photon_response(self.p, self.pulse, grid, spec=spec, decoherence=dec,
+                                         tol=1e-7)
         ref, _ = _reference_response(self.p, self.pulse, grid, spec, dec, 1e-7)
         _assert_same_bits(res, ref)
         assert res.final_rho.base is None
@@ -823,7 +839,8 @@ def _stored_response(params, pulse, t_grid, spec, decoherence, tol):
     i_out2 = params.kappa2 * out["n2"]
     i_out1 = np.clip(i_in1 + params.kappa1 * out["n1"] + 2.0 * np.sqrt(params.kappa1) * np.real(
         xi_t * np.conj(out["a1_rho10"])), 0.0, None)
-    tail = params.kappa2 * spt.dynamics.integrated_observable(lv, final_rho, rho00, n2op)
+    tail = params.kappa2 * spt.dynamics.integrated_observable(lv, final_rho, rho00, n2op,
+                                                              support[2])
     absorbed, absorption_evals = spt.dynamics._first_click_absorption(
         nonhermitian(h, cols), cols["kappa1"], np.sqrt(params.kappa1),
         space.basis_state("g", 0, 0), space.index("g", 1, 0),
@@ -1000,13 +1017,15 @@ class TestTraceFixedSolver:
         # the steady state is unique, and its mean count kappa1 int n1 is 1
         psi = space.basis_state("g", 1, 0)
         n1 = space.annihilation("cavity1").conj().T @ space.annihilation("cavity1")
+        rho0, rho_inf = np.outer(psi, psi), solver.steady_state()
         assert p.kappa1 * spt.dynamics.integrated_observable(
-            lv, np.outer(psi, psi), solver.steady_state(), n1) == pytest.approx(1.0, rel=1e-12)
+            lv, rho0, rho_inf, n1, tail_keep(lv, rho0, rho_inf)) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestKeptSupport:
-    """integrated_observable factors L only on the entries that rho0, rho_inf
-    and entry 0 reach; gain_and_bandwidth keeps the full matrix."""
+    """integrated_observable factors L only on the entries its caller keeps:
+    the pulse tail on the hierarchy's support, which is what rho0, rho_inf and
+    entry 0 reach; gain_and_bandwidth keeps the full matrix."""
 
     p0 = SystemParams(g1=0.15, g2=1, omega=2, kappa2=1)
 
@@ -1031,7 +1050,8 @@ class TestKeptSupport:
         ref = spt.dynamics._expectation(n2op, full.resolvent(rho_inf - rho0))
         got = []
         sizes = self.factored_sizes(monkeypatch, lambda: got.append(
-            spt.dynamics.integrated_observable(lv, rho0, rho_inf, n2op)))
+            spt.dynamics.integrated_observable(lv, rho0, rho_inf, n2op,
+                                               tail_keep(lv, rho0, rho_inf))))
         assert got[0] == pytest.approx(ref, rel=1e-12) and ref > 1.0
         assert len(sizes) == 1 and sizes[0] < space.dim ** 2
 
@@ -1043,13 +1063,46 @@ class TestKeptSupport:
             p, pulse, grid, spec=HilbertSpec(1, 10), tol=1e-6)) == [1210]
         assert self.factored_sizes(monkeypatch, lambda: gain_and_bandwidth(self.p0)) == [4356]
 
+    @pytest.mark.parametrize("spec, dec, kept", [
+        (HilbertSpec(1, 10), None, 1210),                      # the benchmark's pulse point
+        ("criterion 4", None, 1210),                           # g1 = 0.05, (1,10)
+        (HilbertSpec(1, 0), None, 10),
+        (HilbertSpec(1, 1), None, 40),
+        (HilbertSpec(1, 2), None, 90),
+        (HilbertSpec(2, 6), None, 490),
+        (HilbertSpec(1, 8), _DEC, 810),
+        (HilbertSpec(1, 4), DecoherenceParams(gamma=0.02), 250),
+    ], ids=["pulse-point", "criterion-4", "1-0", "1-1", "1-2", "2-6", "1-8-dec", "1-4-gamma"])
+    def test_tail_keeps_the_reach_of_the_final_state(self, spec, dec, kept, request):
+        # the tail once factored L on what the final rho_11, rho_00 and entry 0
+        # reach (graph_reach.tail_keep); the hierarchy's rho_11 support must be
+        # that set, so the tail factors the same matrix as before
+        if spec == "criterion 4":   # reuse the acceptance run
+            p, res = request.getfixturevalue("criterion_4_response")
+            spec = HilbertSpec(1, 10)
+        else:
+            p = self.p0.replace(kappa1=setting_rate(self.p0, 10).value)
+            pulse = PulseSpec.from_tau(tau=6.0 / p.kappa1, center_time=4.5 * 6.0 / p.kappa1)
+            grid = np.linspace(0.0, 9.0 * pulse.tau, 50)
+            # the top n2 layer peaks at 0.22 at (1,1) and 0.035 at (1,2)
+            with (pytest.warns(UserWarning, match="top Fock layer") if spec.n2_max in (1, 2)
+                  else contextlib.nullcontext()):
+                res = single_photon_response(p, pulse, grid, spec=spec, decoherence=dec,
+                                             tol=1e-6)
+        space = build_space(spec)
+        lv = liouvillian(hamiltonian_ideal(p, space), collapse_set(p, dec, space))
+        g00 = space.basis_state("g", 0, 0)
+        sup = spt.dynamics._hierarchy_support(space)[2]
+        assert len(sup) == kept
+        assert np.array_equal(sup, tail_keep(lv, res.final_rho, np.outer(g00, g00)))
+
     def test_rhs_off_keep_is_refused(self):
         space = build_space(HilbertSpec(1, 2))
         lv = liouvillian(hamiltonian_ideal(TestTraceFixedSolver.p, space),
                          collapse_set(TestTraceFixedSolver.p, None, space))
         seeds = np.zeros(space.dim ** 2, dtype=bool)
         seeds[0] = seeds[space.index("e", 0, 0) * (space.dim + 1)] = True
-        keep = spt.dynamics._support(lv, seeds)
+        keep = reach(lv, seeds)
         solver = spt.dynamics.TraceFixedSolver(lv, space.dim, keep)
         off = np.setdiff1d(np.arange(space.dim ** 2), keep)
         assert len(off) and np.all(solver.steady_state().reshape(-1)[off] == 0)
@@ -1062,13 +1115,14 @@ class TestKeptSupport:
 
     @pytest.mark.parametrize("fmt", ["csc", "coo", "lil"])
     def test_any_sparse_format(self, fmt):
-        # TraceFixedSolver takes any format, so the support must read one too
+        # TraceFixedSolver takes any format, and so must the kept-entry slicing
         space = build_space(HilbertSpec(1, 2))
         lv = TestTraceFixedSolver().canonical()
         rho_inf = steady_state(lv, space.dim)
         psi0 = space.basis_state("e", 0, 0)
+        rho0 = np.outer(psi0, psi0.conj())
         n2op = space.annihilation("cavity2").conj().T @ space.annihilation("cavity2")
-        args = (np.outer(psi0, psi0.conj()), rho_inf, n2op)
+        args = (rho0, rho_inf, n2op, tail_keep(lv, rho0, rho_inf))
         ref = spt.dynamics.integrated_observable(lv, *args)
         assert spt.dynamics.integrated_observable(lv.asformat(fmt), *args) == pytest.approx(
             ref, rel=1e-12)
@@ -1103,8 +1157,9 @@ class TestConcurrentAbsorption:
 
             mp.setattr(spt.dynamics, "pool_workers", lambda threads: workers)
             mp.setattr(spt.dynamics, "_first_click_absorption", recorded)
-            res = single_photon_response(self.p, self.pulse, grid, spec=spec, decoherence=dec,
-                                         tol=1e-7)
+            with _top_layer_warns(spec):
+                res = single_photon_response(self.p, self.pulse, grid, spec=spec,
+                                             decoherence=dec, tol=1e-7)
             with open(path, encoding="utf-8") as fh:
                 return res, int(fh.read())
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spt.dynamics
+from graph_reach import reach
 from spt.dynamics import liouvillian
 from spt.effective import setting_rate
 from spt.hilbert import QUTRIT_LEVELS, HilbertSpec, build_space, is_hermitian
@@ -213,20 +214,20 @@ def test_excitation_number_is_a_weak_symmetry(n1, dec):
 
 def _reach_support(lv, space):
     """Oracle: (col, src, sup) of the hierarchy by graph search in L's sparsity
-    (``spt.dynamics._support``): x from |g,1,0> in the |g,0,0> column, the
+    (``graph_reach.reach``): x from |g,1,0> in the |g,0,0> column, the
     source on rows g,1,0 (x's states) and g,0,0 (a1 x's states) and their
     transposes, and rho_11 from those places."""
     dim = space.dim
     i_g00, i_g10 = space.index("g", 0, 0), space.index("g", 1, 0)
     a1d = space.annihilation("cavity1").conj().T
     col = np.arange(dim) * dim + i_g00
-    on_x = spt.dynamics._support(lv[col][:, col], np.arange(dim) == i_g10)
+    on_x = reach(lv[col][:, col], np.arange(dim) == i_g10)
     src = np.zeros((dim, dim), dtype=bool)
     src[i_g10, on_x] = True
     src[i_g00, np.abs(a1d[on_x]).sum(axis=0) > 0] = True
     src[i_g00, i_g00] = True
     src |= src.T
-    return col, src, spt.dynamics._support(lv, src.reshape(-1))
+    return col, src, reach(lv, src.reshape(-1))
 
 
 @pytest.mark.parametrize("spec, dec", [(HilbertSpec(1, 10), None), (HilbertSpec(1, 10), _GAMMA),

@@ -14,6 +14,7 @@ from scipy.integrate import solve_ivp
 import frozen_trajectory
 import spt.montecarlo as mc
 import spt.ode
+from graph_reach import tail_keep
 from spt.hilbert import HilbertSpec, build_space
 from spt.model import (SystemParams, collapse_set, hamiltonian_finite_A, hamiltonian_ideal,
                        nonhermitian)
@@ -578,7 +579,8 @@ class TestGainStatistics:
         rho_inf = steady_state(lv, space.dim)
         expected = {}
         for lab, c in cols.items():
-            expected[lab] = integrated_observable(lv, rho0, rho_inf, c.conj().T @ c)
+            expected[lab] = integrated_observable(lv, rho0, rho_inf, c.conj().T @ c,
+                                                  tail_keep(lv, rho0, rho_inf))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             _, trajs = gain_statistics(p0, 400, 700.0, 321, spec=spec,
