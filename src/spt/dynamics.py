@@ -170,6 +170,10 @@ class PulseSpec:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma <= 0:
             raise ValueError("sigma must be > 0")
+        # below the normal floats the envelope underflows while remaining_norm does
+        # not; a float's ** would raise where the square overflows, so * checks it
+        if not np.finfo(float).tiny <= self.sigma * self.sigma < math.inf:
+            raise ValueError(f"sigma^2 must be finite and a normal float, got sigma = {self.sigma}")
         # gaussian_pulse's prefactor and exponent factor, computed as it did per call
         object.__setattr__(self, "_amplitude", (2.0 * self.sigma**2 / np.pi) ** 0.25)
         object.__setattr__(self, "_rate", -(self.sigma**2))

@@ -208,7 +208,6 @@ class DarkSteadyRates:
     single: RateResult
     enhanced: RateResult
     single_asymptotic: RateResult        # g2^2 om^2 / (4 A^2 kappa2)
-    single_asymptotic_main: RateResult   # kappa2 g2^2 om^2 / (4 (A^2 kappa2^2 + g2^4))
     enhanced_asymptotic: RateResult      # g2^2 om^4 / (32 A^4 kappa2)
 
 
@@ -226,12 +225,6 @@ def dark_asymptotic_single(params: SystemParams) -> float:
     form = "the asymptotic single dark-count rate"
     _require_kappa2(params, form)
     return params.g2**2 * params.omega**2 / (4 * _a_power(params, 2, form) * params.kappa2)
-
-
-def dark_asymptotic_single_main(params: SystemParams) -> float:
-    a = params.anharmonicity
-    return (params.kappa2 * params.g2**2 * params.omega**2
-            / (4 * (a**2 * params.kappa2**2 + params.g2**4)))
 
 
 def dark_asymptotic_enhanced(params: SystemParams) -> float:
@@ -279,7 +272,6 @@ def dark_rates_steady(params: SystemParams) -> DarkSteadyRates:
         single=RateResult(single),
         enhanced=RateResult(enhanced),
         single_asymptotic=RateResult(dark_asymptotic_single(params)),
-        single_asymptotic_main=RateResult(dark_asymptotic_single_main(params)),
         enhanced_asymptotic=RateResult(dark_asymptotic_enhanced(params)),
     )
 

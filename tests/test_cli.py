@@ -124,6 +124,13 @@ class TestExperiments:
         assert main(["gain", "--kappa2", "1e-300", "--n2", "3"]) == 3
         assert "numerical failure: resolvent residual inf" in capsys.readouterr().err
 
+    def test_overflow_is_numerical_failure(self, capsys):
+        # omega**4 of the order-1 closed form overflows a float's ** at omega = 1e200
+        assert main(["setting-rate", "--omega", "1e200", "--kappa2-grid", "1:1:1",
+                     "--n2", "2"]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: (34, 'Numerical result out of range')" in err
+
     def test_reflection_small_sweep(self, tmp_path):
         out = tmp_path / "refl.csv"
         rc = main(["reflection", "--g1", "0.05", "--kappa2", "2",
@@ -310,10 +317,7 @@ class TestExperiments:
 
     def test_unread_decoherence_header_unchanged(self, tmp_path):
         out = tmp_path / "dark.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")   # the no-jump rates warn at this t_end
-            assert main(["dark-counts", "--anharmonicity", "40", "--t-end", "10",
-                         "-o", str(out)]) == 0
+        assert main(["dark-counts", "--anharmonicity", "40", "-o", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert "# gamma=0.0" in lines and "# gamma_phi=0.0" in lines
 
@@ -349,7 +353,7 @@ class TestExperiments:
         (["trajectories", "--n1", "-1"], "--n1"),
         (["reflection", "--n2-reflection", "0"], "--n2-reflection"),
         (["dark-counts", "--anharmonicity", "40", "--trajectories", "-1"], "--trajectories"),
-        (["dark-counts", "--anharmonicity", "40", "--t-end", "inf"], "--t-end"),
+        (["pulse-response", "--tau-kappa1", "inf"], "--tau-kappa1"),
         (["trajectories", "--threads", "0"], "--threads"),
         (["trajectories", "--threads", "-3"], "--threads"),
         (["dark-counts", "--anharmonicity", "40", "--threads", "0"], "--threads"),
@@ -447,13 +451,13 @@ class TestExperiments:
             ["pulse-response", "--omega", "0", "--n2", "2", "--points", "20"],
             ["trajectories", "--omega", "0", "--n-traj", "2", "--n1", "1", "--n2", "3",
              "--duration", "10"],
-            ["dark-counts", "--omega", "0", "--anharmonicity", "40", "--t-end", "10"])],
+            ["dark-counts", "--omega", "0", "--anharmonicity", "40"])],
         (["gain", "--g1", "0", "--n2", "3"],
          "the gain is taken at kappa1 = Gamma_set, and Gamma_set = 0"),
         (["gain", "--gamma", "-1", "--n2", "3"], "gamma must be >= 0"),
         (["setting-rate", "--kappa2-grid", "0:0:1", "--n2", "3"],
          "the order-3 closed form of Gamma_set divides by kappa2, and kappa2 = 0"),
-        (["dark-counts", "--kappa2", "0", "--anharmonicity", "40", "--t-end", "10"],
+        (["dark-counts", "--kappa2", "0", "--anharmonicity", "40"],
          "the asymptotic single dark-count rate divides by kappa2, and kappa2 = 0"),
         # non-finite values: nan passes a ">= 0" check, so each is refused by name
         (["reflection", "--gamma", "nan", "--n2", "3", "--n2-reflection", "2",
@@ -472,15 +476,17 @@ class TestExperiments:
         # the closed forms' powers of A underflow to 0 below about 1e-81 (A^4)
         *[(argv, "the asymptotic enhanced dark-count rate divides by A^4, which underflows "
                  "to 0 at A = 1e-100") for argv in (
-            ["dark-counts", "--anharmonicity", "1e-100", "--t-end", "10"],
-            ["dark-counts", "--anharmonicity", "40", "--a-grid", "1e-100:40:2",
-             "--t-end", "10"])],
-        (["dark-counts", "--anharmonicity", "1e-200", "--t-end", "10"],
+            ["dark-counts", "--anharmonicity", "1e-100"],
+            ["dark-counts", "--anharmonicity", "40", "--a-grid", "1e-100:40:2"])],
+        (["dark-counts", "--anharmonicity", "1e-200"],
          "the asymptotic single dark-count rate divides by A^2, which underflows to 0 "
          "at A = 1e-200"),
         # above that, 32 A^4 kappa2 is subnormal and the enhanced rate overflows
-        (["dark-counts", "--anharmonicity", "1e-79", "--t-end", "10"],
+        (["dark-counts", "--anharmonicity", "1e-79"],
          "rate must be finite, got inf"),
+        # pulse widths whose sigma^2 overflows, or falls below the normal floats
+        *[(["pulse-response", "--tau-kappa1", tau, "--n2", "1", "--points", "3"],
+           "sigma^2 must be finite and a normal float") for tau in ("1e-160", "1e155", "1e300")],
     ])
     def test_bad_parameter_value_is_config_error(self, argv, message, capsys):
         # values that pass the flag checks and fail those of the parameter
@@ -494,17 +500,14 @@ class TestExperiments:
         ["setting-rate", "--g1", "0", "--kappa2-grid", "1:2:3", "--n2", "4"],
         ["trajectories", "--g1", "0", "--n-traj", "2", "--n1", "1", "--n2", "3",
          "--duration", "10", "--threads", "1"],
-        ["dark-counts", "--g1", "0", "--anharmonicity", "40", "--t-end", "10"],
-        ["dark-counts", "--omega", "0", "--kappa1", "0.1", "--anharmonicity", "40",
-         "--t-end", "10"],
+        ["dark-counts", "--g1", "0", "--anharmonicity", "40"],
+        ["dark-counts", "--omega", "0", "--kappa1", "0.1", "--anharmonicity", "40"],
     ])
     def test_runs_where_gamma_set_is_zero_or_not_needed(self, tmp_path, argv):
         # Gamma_set = 0 at g1 = 0 is a value these report or run at; dark-counts
         # with its own kappa1 does not compute Gamma_set, so omega = 0 is fine
         out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")   # the no-jump rates warn at these values
-            assert main(argv + ["-o", str(out)]) == 0
+        assert main(argv + ["-o", str(out)]) == 0
         assert out.stat().st_size > 0
 
     @pytest.mark.parametrize("argv, undefined", [
@@ -577,7 +580,7 @@ for argv in (["setting-rate", "--kappa2-grid", "1:2:2", "--n2", "3"],
               "--kappa1-grid", "0.01:0.02:2", "--threads", "1"],
              ["gain", "--n2", "3"],
              ["dark-counts", "--anharmonicity", "40", "--trajectories", "2",
-              "--duration", "50", "--t-end", "50", "--threads", "1"],
+              "--duration", "50", "--threads", "1"],
              ["detection", "--zeta", "2"],
              ["trajectories", "--n-traj", "2", "--n1", "1", "--n2", "3",
               "--duration", "20", "--threads", "1"]):

@@ -48,6 +48,18 @@ class TestPulse:
         with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
             PulseSpec(**{"sigma": 0.5, name: value})
 
+    @pytest.mark.parametrize("sigma", [1e-170, 1e-155, 1e160, 1.5e154])
+    def test_sigma_squared_must_be_a_normal_float(self, sigma):
+        # at 1e-170 the envelope is 0 everywhere while remaining_norm(0) is 0.5;
+        # at 1e-155 sigma^2 is subnormal; from 1.5e154 on sigma^2 is not finite
+        with pytest.raises(ValueError, match="sigma\\^2 must be finite and a normal float"):
+            PulseSpec(sigma=sigma)
+
+    def test_smallest_normal_sigma_squared_is_a_photon(self):
+        spec = PulseSpec(sigma=math.sqrt(np.finfo(float).tiny) * 1.01)
+        assert gaussian_pulse(spec, 0.0) > 0
+        assert spec.remaining_norm(0.0) == 0.5
+
     def test_tau_relation(self):
         spec = PulseSpec.from_tau(tau=1.0)
         assert spec.sigma == pytest.approx(0.5)

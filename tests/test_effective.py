@@ -190,12 +190,12 @@ class TestDarkRates:
         assert np.polyfit(ls, np.log(singles), 1)[0] == pytest.approx(-2.0, abs=0.3)
 
     def test_asymptotic_variants_agree_at_large_A(self):
-        # the two closed-form denominators agree at large A; the second variant
-        # is the exact two-state elimination
+        # the two closed-form denominators agree at large A; the oracle is the
+        # exact two-state elimination, kappa2 g2^2 om^2 / (4 (A^2 kappa2^2 + g2^4))
         p = SystemParams(g2=1, omega=2, kappa2=1.0, anharmonicity=200)
-        r = dark_rates_steady(p)
-        assert r.single_asymptotic.value == pytest.approx(
-            r.single_asymptotic_main.value, rel=1e-4)
+        two_state = (p.kappa2 * p.g2**2 * p.omega**2
+                     / (4 * (p.anharmonicity**2 * p.kappa2**2 + p.g2**4)))
+        assert dark_rates_steady(p).single_asymptotic.value == pytest.approx(two_state, rel=1e-4)
 
     def test_rejects_infinite_A(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+import scipy.linalg
 from scipy import stats
 from scipy.integrate import solve_ivp
 
@@ -517,6 +518,26 @@ class TestEnsembleSetUp:
                          threads=2)
         assert contexts == []
 
+    @pytest.mark.parametrize("as_vector", [False, True])
+    def test_pulse_with_another_init_is_refused_before_the_pool(self, monkeypatch, as_vector):
+        # such a pulse was never read: at (1,4), 3 trajectories, seed 1 the
+        # counts were the same with and without it
+        space, cols, h_nh, _, duration, _, pulse = _pulse_input()
+        init = space.basis_state("e", 0, 0) if as_vector else "e,0,0"
+        contexts, get_context = [], multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method=None: contexts.append(method) or get_context(method))
+        refused = "a pulse is read only by init='single-photon-input'"
+        with pytest.raises(ValueError, match=refused):
+            run_ensemble(h_nh, cols, init, duration, 8, 1, pulse=pulse, space=space, threads=2)
+        with pytest.raises(ValueError, match=refused):
+            run_trajectory(h_nh, cols, init, duration, 1, pulse=pulse, space=space)
+        with pytest.raises(ValueError, match=refused):
+            gain_statistics(SystemParams(g1=0.25, g2=1, omega=2, kappa2=1), 3, 100.0, 1,
+                            spec=HilbertSpec(1, 4), init=init,
+                            pulse=PulseSpec.from_tau(20.0, 60.0), threads=1)
+        assert contexts == []
+
     @pytest.mark.parametrize("n_traj, duration", [
         (0, 100.0), (-1, 100.0), (2, 0.0), (2, -5.0), (2, math.inf), (2, math.nan)])
     @pytest.mark.parametrize("engine", ["gain", "dark"])
@@ -615,7 +636,7 @@ class TestDarkCounts:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             est = dark_count_trajectories(p, 150, 10000.0, 11, threads=1)
-            nj = no_jump_rates(p, t_end=3000.0)
+            nj = no_jump_rates(p)
         assert est.n_events_single > 1000
         assert est.single_rate == pytest.approx(nj.steady_single, rel=0.05)
         # the 7-state inversion is the second-order estimate; it sits ~13% low here
@@ -694,7 +715,7 @@ class TestDarkCounts:
 class TestNoJump:
     def test_steady_single_matches_trajectories_and_asymptotic(self):
         p = SystemParams(g1=0.2, g2=1, omega=2, kappa2=0.1, anharmonicity=50)
-        nj = no_jump_rates(p, t_end=3000.0)
+        nj = no_jump_rates(p)
         assert nj.converged
         # asymptotic A^-2 form matches the resummed numeric within 10% (A/g2 = 50)
         from spt.effective import dark_asymptotic_single
@@ -702,17 +723,44 @@ class TestNoJump:
 
     def test_dynamical_same_order_as_steady(self):
         p = SystemParams(g1=0.2, g2=1, omega=2, kappa2=0.1, anharmonicity=50)
-        nj = no_jump_rates(p, t_end=3000.0)
+        nj = no_jump_rates(p)
         assert 1.0 < nj.dynamical / nj.steady < 20.0
 
     def test_zero_prefactor_channel(self):
         p = SystemParams(g1=0.2, g2=1, omega=2, kappa2=0.1, anharmonicity=50)
-        with warnings.catch_warnings():
-            # near-zero rates make the relative convergence check meaningless
-            warnings.simplefilter("ignore")
-            nj = no_jump_rates(p.replace(kappa2=1e-12), t_end=500.0)
+        # the two slowest reached modes decay at 2.87e-13 and 4.40e-13: a gap
+        # below the 1e-9 max|lambda| ~ 1e-7 to which the eigenbasis is checked
+        with pytest.warns(UserWarning, match="late-time rate is not a single mode's"):
+            nj = no_jump_rates(p.replace(kappa2=1e-12))
+        assert not nj.converged
         assert nj.steady < 1e-10
         assert nj.dynamical < 1e-10
+
+    # criterion 7's point, criterion 8's nine A values and its A/g2 = 40 anchor
+    _LATE_TIME_POINTS = [
+        SystemParams(g1=0.05, g2=1, omega=2, kappa2=1.0, anharmonicity=8426.0 / 120.0),
+        *[SystemParams(g1=0.2, g2=1, omega=2, kappa2=0.1, anharmonicity=float(a))
+          for a in (*np.geomspace(30, 100, 9), 40.0)]]
+
+    @pytest.mark.parametrize("p", _LATE_TIME_POINTS, ids=lambda p: f"A{p.anharmonicity:.4g}")
+    def test_steady_rates_equal_time_evolution(self, p):
+        # the late-time rates two ways: read from the slowest reached eigenvector,
+        # and from |g,0,0> propagated by expm to 40 over the gap to the next
+        # reached mode, whose amplitude has then fallen by exp(-40) against it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nj = no_jump_rates(p)
+        assert nj.converged
+        space, cols, h_nh = mc._dark_model(p, mc._DARK_SPEC)
+        psi0 = space.basis_state("g", 0, 0)
+        evals, evecs = np.linalg.eig(h_nh)
+        reached = np.abs(np.linalg.solve(evecs, psi0)) > 1e-12
+        slowest, nxt = np.sort(-evals.imag[reached])[:2]
+        psi = scipy.linalg.expm(-1j * h_nh * (40.0 / (nxt - slowest))) @ psi0
+        norm = np.vdot(psi, psi).real
+        for label, steady in (("kappa2_E", nj.steady), ("kappa2_G", nj.steady_single)):
+            rate = np.linalg.norm(cols[label] @ psi) ** 2 / norm
+            assert rate == pytest.approx(steady, rel=1e-10)
 
 
 class TestTrajectoryCSV:

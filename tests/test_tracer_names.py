@@ -76,7 +76,7 @@ for argv in (
          "-o", "traj.json"],
         ["dark-counts", "--g1", "0.2", "--omega", "2", "--kappa2", "0.1",
          "--anharmonicity", "10", "--trajectories", "2", "--duration", "2000",
-         "--t-end", "300", "--seed", "1", "--threads", "1", "-o", "dark.csv"]):
+         "--seed", "1", "--threads", "1", "-o", "dark.csv"]):
     assert spt.cli.main(argv) == 0
     print(json.dumps(tracer.metrics(1, 0)))
 """
