@@ -467,7 +467,7 @@ def _merge_config(ap: argparse.ArgumentParser, argv: list) -> argparse.Namespace
     try:
         with open(args.config, encoding="utf-8") as fh:
             conf = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:   # too deeply nested
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     if not isinstance(conf, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -501,7 +501,8 @@ def main(argv: list | None = None) -> int:
         return 2
     except (SingularEliminationError, np.linalg.LinAlgError, RuntimeError,
             OverflowError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        what = "overflow" if isinstance(exc, OverflowError) else exc
+        print(f"{args.experiment}: numerical failure: {what}", file=sys.stderr)
         return 3
 
 

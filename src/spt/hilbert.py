@@ -84,6 +84,11 @@ class HilbertSpace:
         m, n1 = np.divmod(np.arange(self.dim) // (self.spec.n2_max + 1), self.spec.n1_max + 1)
         return n1 + (m > 0)
 
+    def sector_blocks(self) -> np.ndarray:
+        """Sorted vec indices of the (0,0) and (1,1) blocks of Q: all one photon reaches."""
+        q = self.excitations()
+        return np.flatnonzero((q[:, None] == q) & (q <= 1)[:, None])
+
     def basis_state(self, m, n1: int = 0, n2: int = 0) -> np.ndarray:
         psi = np.zeros(self.dim, dtype=complex)
         psi[self.index(m, n1, n2)] = 1.0

@@ -113,6 +113,13 @@ class TestExperiments:
         conf.write_text(json.dumps({"bogus": 1}))
         assert main(["--config", str(conf), "setting-rate"]) == 2
 
+    def test_deeply_nested_config_is_config_error(self, tmp_path, capsys):
+        # json.load raises RecursionError here, a RuntimeError, not a JSONDecodeError
+        conf = tmp_path / "conf.json"
+        conf.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["--config", str(conf), "gain"]) == 2
+        assert "config error: cannot read config" in capsys.readouterr().err
+
     def test_bad_grid_exit_code(self):
         assert main(["setting-rate", "--kappa2-grid", "nope"]) == 2
 
@@ -129,7 +136,7 @@ class TestExperiments:
         assert main(["setting-rate", "--omega", "1e200", "--kappa2-grid", "1:1:1",
                      "--n2", "2"]) == 3
         err = capsys.readouterr().err
-        assert "numerical failure: (34, 'Numerical result out of range')" in err
+        assert "setting-rate: numerical failure: overflow" in err
 
     def test_reflection_small_sweep(self, tmp_path):
         out = tmp_path / "refl.csv"

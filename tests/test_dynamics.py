@@ -1037,7 +1037,8 @@ class TestTraceFixedSolver:
 class TestKeptSupport:
     """integrated_observable factors L only on the entries its caller keeps:
     the pulse tail on the hierarchy's support, which is what rho0, rho_inf and
-    entry 0 reach; gain_and_bandwidth keeps the full matrix."""
+    entry 0 reach; gain_and_bandwidth factors the same (0,0) and (1,1) blocks
+    of Q, which hold |e,0,0>."""
 
     p0 = SystemParams(g1=0.15, g2=1, omega=2, kappa2=1)
 
@@ -1067,13 +1068,13 @@ class TestKeptSupport:
         assert got[0] == pytest.approx(ref, rel=1e-12) and ref > 1.0
         assert len(sizes) == 1 and sizes[0] < space.dim ** 2
 
-    def test_pulse_tail_on_its_support_and_gain_on_the_full_matrix(self, monkeypatch):
+    def test_pulse_tail_and_gain_on_the_sector(self, monkeypatch):
         p = self.p0.replace(kappa1=setting_rate(self.p0, 10).value)
         pulse = PulseSpec.from_tau(tau=6.0 / p.kappa1, center_time=4.5 * 6.0 / p.kappa1)
         grid = np.linspace(0.0, 9.0 * pulse.tau, 50)
         assert self.factored_sizes(monkeypatch, lambda: single_photon_response(
             p, pulse, grid, spec=HilbertSpec(1, 10), tol=1e-6)) == [1210]
-        assert self.factored_sizes(monkeypatch, lambda: gain_and_bandwidth(self.p0)) == [4356]
+        assert self.factored_sizes(monkeypatch, lambda: gain_and_bandwidth(self.p0)) == [1210]
 
     @pytest.mark.parametrize("spec, dec, kept", [
         (HilbertSpec(1, 10), None, 1210),                      # the benchmark's pulse point
@@ -1465,6 +1466,62 @@ class TestGain:
             x = full.resolvent(full.steady_state() - np.outer(psi0, psi0.conj()))
             gain = p.kappa2 * spt.dynamics._expectation(space.number("cavity2"), x)
             assert gain == pytest.approx(res.gain, rel=1e-12), n1
+
+    # the five rows of a gain sweep (kappa2 0.5:4:20, omega 1:4:20, g1 0.02:0.3:30
+    # with decoherence) whose written digits moved when the sector LU with its
+    # refinement step replaced the full LU, and the g1 = 0.05 point
+    _REFERENCE_POINTS = [
+        (SystemParams(g1=0.05, g2=1, omega=2, kappa2=float(np.linspace(0.5, 4, 20)[18])), None),
+        (SystemParams(g1=0.05, g2=1, omega=2, kappa2=4.0), None),
+        (SystemParams(g1=0.05, g2=1, omega=float(np.linspace(1, 4, 20)[10]), kappa2=1), None),
+        (SystemParams(g1=0.05, g2=1, omega=float(np.linspace(1, 4, 20)[17]), kappa2=1), None),
+        (SystemParams(g1=0.02, g2=1, omega=2, kappa2=1), _DEC),
+        (SystemParams(g1=0.05, g2=1, omega=2, kappa2=1), None),
+    ]
+
+    @staticmethod
+    def extended_precision_gain(p, dec, n2_trunc=10):
+        """The gain from the trace-fixed system that gain_and_bandwidth factors
+        (L on the sector, row 0 the trace), by iterative refinement whose
+        residuals are taken in np.clongdouble."""
+        pm = p.replace(kappa1=setting_rate(p, n2_trunc).value)
+        space = build_space(HilbertSpec(1, n2_trunc))
+        lv = liouvillian(hamiltonian_ideal(pm, space), collapse_set(pm, dec, space))
+        keep = space.sector_blocks()
+        diag = np.flatnonzero(keep % (space.dim + 1) == 0)
+        a = sparse.lil_matrix(lv[keep][:, keep])
+        a[0, :] = 0.0
+        a[0, diag] = 1.0
+        lu, a_ld = spla.splu(a.tocsc()), a.tocsr().astype(np.clongdouble)
+
+        def solve(b):
+            x = lu.solve(np.asarray(b, dtype=complex)).astype(np.clongdouble)
+            for _ in range(5):
+                x += lu.solve(np.asarray(b - a_ld @ x, dtype=complex))
+            return x
+
+        b = np.zeros(len(keep), dtype=np.clongdouble)
+        b[0] = 1.0
+        rhs = solve(b)                      # rho_inf on the sector
+        rhs[0] = 0.0                        # tr X = 0
+        rhs[np.searchsorted(keep, space.index("e", 0, 0) * (space.dim + 1))] -= 1.0
+        n2 = np.arange(space.dim) % (n2_trunc + 1)   # n2 of each basis state
+        x = solve(rhs)[diag].real
+        return float(np.longdouble(p.kappa2) * np.sum(n2[keep[diag] // space.dim] * x))
+
+    @pytest.mark.parametrize("p, dec", _REFERENCE_POINTS,
+                             ids=["k2-3.8158", "k2-4", "om-2.5789", "om-3.6842", "g1-0.02-dec",
+                                  "g1-0.05"])
+    def test_gain_within_5e_13_of_extended_precision(self, p, dec):
+        # the full LU was 1.1e-12 and 1.7e-12 off at k2 3.8158 and om 3.6842
+        ref = self.extended_precision_gain(p, dec)
+        assert gain_and_bandwidth(p, dec, 10).gain == pytest.approx(ref, rel=5e-13, abs=0)
+
+    @pytest.mark.filterwarnings("ignore:g1 is not perturbative")
+    @pytest.mark.parametrize("g1", [0.05, 0.3])
+    def test_refinement_step_is_small_at_the_benchmark_points(self, g1):
+        res = gain_and_bandwidth(SystemParams(g1=g1, g2=1, omega=2, kappa2=1), None, 10)
+        assert 0.0 < res.refinement < 1e-12
 
     def test_truncation_convergence(self):
         p = SystemParams(g1=0.05, g2=1, omega=2, kappa2=1)

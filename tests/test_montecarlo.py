@@ -447,20 +447,22 @@ _FALLBACK_CASES = {
 }
 
 
+@pytest.fixture
+def ill_conditioned(monkeypatch):
+    """Every ``EigenPropagator`` built in the test reports ``ok`` False."""
+    init = EigenPropagator.__init__
+
+    def forced(self, h_nh):
+        init(self, h_nh)
+        self.ok = False
+
+    monkeypatch.setattr(EigenPropagator, "__init__", forced)
+
+
 class TestIllConditionedFallback:
     """With ``EigenPropagator.ok`` False every time-independent segment is stepped
     by DOP853 through a source-free ``PulsePath``, and gets the jumps of the
     per-segment solve_ivp event search it replaced, bit for bit."""
-
-    @pytest.fixture
-    def ill_conditioned(self, monkeypatch):
-        init = EigenPropagator.__init__
-
-        def forced(self, h_nh):
-            init(self, h_nh)
-            self.ok = False
-
-        monkeypatch.setattr(EigenPropagator, "__init__", forced)
 
     @pytest.mark.parametrize("name", sorted(_FALLBACK_CASES))
     def test_jumps_equal_solve_ivp_per_segment(self, name, ill_conditioned, monkeypatch):
@@ -728,13 +730,19 @@ class TestNoJump:
 
     def test_zero_prefactor_channel(self):
         p = SystemParams(g1=0.2, g2=1, omega=2, kappa2=0.1, anharmonicity=50)
-        # the two slowest reached modes decay at 2.87e-13 and 4.40e-13: a gap
-        # below the 1e-9 max|lambda| ~ 1e-7 to which the eigenbasis is checked
-        with pytest.warns(UserWarning, match="late-time rate is not a single mode's"):
+        # the two slowest reached modes decay at 2.87e-13 and 4.40e-13 (a
+        # 40-digit eig agrees): their Rayleigh decays tell the gap apart
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             nj = no_jump_rates(p.replace(kappa2=1e-12))
-        assert not nj.converged
+        assert nj.converged
         assert nj.steady < 1e-10
         assert nj.dynamical < 1e-10
+
+    def test_ill_conditioned_eigenbasis_is_not_converged(self, ill_conditioned):
+        p = SystemParams(g1=0.2, g2=1, omega=2, kappa2=0.1, anharmonicity=50)
+        with pytest.warns(UserWarning, match="late-time rate is not a single mode's"):
+            assert not no_jump_rates(p).converged
 
     # criterion 7's point, criterion 8's nine A values and its A/g2 = 40 anchor
     _LATE_TIME_POINTS = [
